@@ -24,6 +24,7 @@ from .clifford import (
 from .errors import (
     AlgebraError,
     BelowThresholdError,
+    DegenerateAlgebraError,
     DegenerateFormError,
     IndeterminateError,
     MixedAlgebrasError,
@@ -73,6 +74,7 @@ __all__ = [
     "ClassificationReport",
     "CliffordClass",
     "CliffordElement",
+    "DegenerateAlgebraError",
     "DegenerateFormError",
     "DiagonalForm",
     "FibSpaceVector",

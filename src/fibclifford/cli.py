@@ -24,7 +24,7 @@ from .clifford import (
     dimension,
 )
 from .errors import AlgebraError, IndeterminateError
-from .exactnum import QSqrt5, format_rat, parse_rat
+from .exactnum import QSqrt5, format_rat, parse_int, parse_rat
 from .fib import HoradamParams, binet, fib, horadam
 from .fibquat import (
     FibSpaceVector,
@@ -79,17 +79,21 @@ def _coeffs_arg(text: str) -> tuple[Fraction, ...]:
 
 
 def _squares_arg(text: str) -> tuple[Fraction, ...]:
-    parts = [p for p in text.split(",") if p != ""]
-    if not parts:
-        raise argparse.ArgumentTypeError("expected at least one rational")
+    parts = text.split(",")
+    if "" in parts:
+        raise argparse.ArgumentTypeError(f"empty entry in {text!r}")
     return tuple(_rat_arg(p) for p in parts)
 
 
-def _nonneg_int_arg(text: str) -> int:
+def _int_arg(text: str) -> int:
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        return parse_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _nonneg_int_arg(text: str) -> int:
+    value = _int_arg(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"index must be nonnegative, got {value}")
     return value
@@ -103,8 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--beta1", type=_rat_arg, required=True)
         p.add_argument("--beta2", type=_rat_arg, required=True)
         if seeds:
-            p.add_argument("--p", type=int, default=None)
-            p.add_argument("--q", type=int, default=None)
+            p.add_argument("--p", type=_int_arg, default=None)
+            p.add_argument("--q", type=_int_arg, default=None)
 
     p = sub.add_parser("classify", help="classify the Clifford algebra of the Fibonacci space")
     algebra_flags(p, seeds=True)
@@ -199,7 +203,7 @@ def _cmd_nprime(ns: argparse.Namespace) -> int:
 
 
 def _cmd_fib(ns: argparse.Namespace) -> int:
-    print(fib(ns.n))
+    print(format_rat(fib(ns.n)))
     return 0
 
 

@@ -24,11 +24,11 @@ from .errors import DegenerateFormError, IndeterminateError, MixedFormsError
 from .exactnum import QSqrt5, Rat, format_rat
 from .fibquat import (
     ThresholdCertificate,
+    _seeded_discriminant,
+    _seeded_threshold,
+    _threshold,
     fibonacci_quaternion,
     growth_profile,
-    horadam_growth_discriminant,
-    horadam_invertibility_threshold,
-    invertibility_threshold,
 )
 from .quat import AlgebraParams, Quaternion, is_division_algebra
 
@@ -344,9 +344,8 @@ def classify(
 
     Positive discriminant yields the split class with canonical model
     H(-1, -1); negative yields the division class with canonical model
-    H(1, 1).  The concrete rank-2 form is taken at the first basepoint at
-    or past the certified threshold where both basis norms are nonzero
-    (which the certificate guarantees is the threshold itself), and the
+    H(1, 1).  The concrete rank-2 form is taken at the certified threshold,
+    where the certificate guarantees both basis norms are nonzero, and the
     witness pair (|n(F(n))|, |n(F(n+1))|) rescales the identified
     H(-n(F(n)), -n(F(n+1))) onto the canonical model by squares.
 
@@ -363,18 +362,13 @@ def classify(
         raise IndeterminateError(
             f"growth discriminant is zero for {params.label()}; no class is defined"
         )
-    certificate = invertibility_threshold(params)
+    certificate = _threshold(params, profile)
     seeds = seeded_discriminant = seeded_certificate = None
     if p is not None:
         seeds = (p, q)
-        seeded_discriminant = horadam_growth_discriminant(params, p, q)
-        seeded_certificate = horadam_invertibility_threshold(params, p, q)
+        seeded_discriminant = _seeded_discriminant(profile, p, q)
+        seeded_certificate = _seeded_threshold(params, profile, p, q)
     basepoint = certificate.n_prime
-    while (
-        fibonacci_quaternion(basepoint, params).norm() == 0
-        or fibonacci_quaternion(basepoint + 1, params).norm() == 0
-    ):
-        basepoint += 1
     form = fibonacci_form(basepoint, params)
     clifford_class = rank2_class(form)
     if (clifford_class is CliffordClass.DIVISION) != (sign < 0):

@@ -12,6 +12,14 @@ class AlgebraError(Exception):
     """Base class for algebraic domain errors."""
 
 
+class DegenerateAlgebraError(AlgebraError, ValueError):
+    """An algebra parameter beta1 or beta2 is zero.
+
+    Also a ``ValueError``, so callers that treat it as an invalid argument
+    still catch it.
+    """
+
+
 class MixedAlgebrasError(AlgebraError):
     """Quaternions from algebras with different parameters were combined."""
 

@@ -17,7 +17,18 @@ from fractions import Fraction
 
 Rat = Fraction
 
-_RAT_PATTERN = re.compile(r"-?\d+(?:/\d+)?")
+# ASCII digits only: ``\d`` and ``int()`` also take other scripts' digits,
+# and ``int()`` takes underscores and a leading ``+``.
+_INT_PATTERN = re.compile(r"-?[0-9]+")
+_RAT_PATTERN = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
+def parse_int(text: str) -> int:
+    """Parse ``"n"`` (optional leading ``-``, ASCII digits only)."""
+    s = text.strip()
+    if not _INT_PATTERN.fullmatch(s):
+        raise ValueError(f"not an integer literal: {text!r}")
+    return int(s)
 
 
 def parse_rat(text: str) -> Rat:
@@ -33,9 +44,25 @@ def parse_rat(text: str) -> Rat:
     return Fraction(int(s))
 
 
+def _decimal(n: int) -> str:
+    # str(n) in pieces of under 600 digits: CPython refuses to convert ints
+    # past a digit limit (4300 by default, 640 at the least), which guards
+    # parsing against quadratic time but would also refuse valid outputs.
+    if n < 0:
+        return "-" + _decimal(-n)
+    if n.bit_length() < 1990:
+        return str(n)
+    low_digits = n.bit_length() * 3 // 20  # about half of n's digits
+    high, low = divmod(n, 10**low_digits)
+    return _decimal(high) + _decimal(low).zfill(low_digits)
+
+
 def format_rat(value: Rat | int) -> str:
-    """Render a rational in the textual wire format (``-3/2``, ``7``)."""
-    return str(Fraction(value))
+    """Render a rational in the textual wire format (``-3/2``, ``7``), of any size."""
+    x = Fraction(value)
+    if x.denominator == 1:
+        return _decimal(x.numerator)
+    return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
 
 
 def rat_sign(x: Rat | int) -> int:

@@ -14,6 +14,16 @@ module computes it exactly and certifies the minimal index from which the
 norm sign never changes again, by an explicit domination horizon rather
 than a limit argument.
 
+Certification runs on Python integers.  The horizon search clears the
+denominators of both sides once and then works in Z[sqrt 5], where one step
+multiplies the growing side by 3 + sqrt 5 and the bounded side by 2 (that
+is, by alpha^2 = (3 + sqrt 5)/2), and the sign of x + y*sqrt 5 comes from
+comparing x^2 with 5*y^2.  The direct checks below the horizon walk the
+coefficient window of F(m) or H(m; p, q) by the integer recurrence and take
+the sign of d1*d2*n(.) for beta_i = n_i/d_i, an integer of the same sign as
+the norm.  The closed forms stay public as the paper's identities; the test
+suite checks them against the direct norms.
+
 Horadam quaternions H(n; p, q) carry coefficients (h(n), ..., h(n+3)) of the
 seeded sequence h(0) = p, h(1) = q.  For n >= 1 this equals
 p*F(n-1) + q*F(n); the coordinate space at basepoint n uses the basis
@@ -25,9 +35,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import BelowThresholdError, IndeterminateError
-from .exactnum import ALPHA, BETA, QSqrt5, Rat, rat_sign
+from .exactnum import ALPHA, BETA, QSqrt5, Rat
 from .fib import HoradamParams, fib, fib_pair, horadam
 from .quat import AlgebraParams, Quaternion
 
@@ -60,9 +71,10 @@ class ThresholdCertificate:
     """Certified minimal index from which norm signs stay equal to limit_sign.
 
     ``horizon`` satisfies the domination inequality guaranteeing no sign
-    change past it, and every index in [n_prime, horizon] was checked by
-    direct evaluation; minimality means n_prime = 0 or the sign at
-    n_prime - 1 differs (possibly zero).
+    change past it, and every index in [0, horizon] was checked by direct
+    evaluation: the integer d1*d2*n(.), with denominators cleared, along the
+    coefficient window advanced by the integer recurrence.  Minimality means
+    n_prime = 0 or the sign at n_prime - 1 differs (possibly zero).
     """
 
     n_prime: int
@@ -192,9 +204,13 @@ def growth_discriminant(params: AlgebraParams) -> QSqrt5:
 
 def horadam_growth_discriminant(params: AlgebraParams, p: int, q: int) -> QSqrt5:
     """Seeded discriminant (p + q*alpha)^2 * E / 5; zero only for p = q = 0."""
+    return _seeded_discriminant(growth_profile(params), p, q)
+
+
+def _seeded_discriminant(profile: GrowthProfile, p: int, q: int) -> QSqrt5:
     HoradamParams(p, q)
     a = ALPHA * q + p
-    return a * a * growth_discriminant(params) / 5
+    return a * a * profile.discriminant / 5
 
 
 def norm_closed_form(n: int, params: AlgebraParams) -> Rat:
@@ -229,26 +245,57 @@ def horadam_norm_closed_form(n: int, params: AlgebraParams, p: int, q: int) -> R
     return value.as_rat()
 
 
+def _sign_z5(x: int, y: int) -> int:
+    """Sign of x + y*sqrt(5) for integers x, y."""
+    sx = (x > 0) - (x < 0)
+    sy = (y > 0) - (y < 0)
+    if sx == sy or sy == 0:
+        return sx
+    if sx == 0:
+        return sy
+    return sx if x * x > 5 * y * y else -sx
+
+
 def _certify(
+    params: AlgebraParams,
+    seeds: tuple[int, int],
     limit_sign: int,
     growth_abs: QSqrt5,
     bounded_abs: QSqrt5,
-    norm_at,
 ) -> ThresholdCertificate:
     # horizon: least N with growth_abs * alpha^(2N) > bounded_abs; past it the
-    # growing term dominates every bounded one, freezing the sign.
-    alpha_sq = ALPHA * ALPHA
+    # growing term dominates every bounded one, freezing the sign.  Scaled by
+    # the common denominator den and by 2^N, the N-th comparison is
+    # gx + gy*sqrt5 > bx + by*sqrt5 with gx + gy*sqrt5 = den*growth_abs*(3+sqrt5)^N
+    # and bx + by*sqrt5 = den*bounded_abs*2^N.
+    den = lcm(
+        growth_abs.a.denominator,
+        growth_abs.b.denominator,
+        bounded_abs.a.denominator,
+        bounded_abs.b.denominator,
+    )
+    gx, gy, bx, by = (
+        r.numerator * (den // r.denominator)
+        for r in (growth_abs.a, growth_abs.b, bounded_abs.a, bounded_abs.b)
+    )
     horizon = 0
-    lhs = growth_abs
-    while not lhs > bounded_abs:
+    while _sign_z5(gx - bx, gy - by) <= 0:
         horizon += 1
-        lhs = lhs * alpha_sq
-    signs = [rat_sign(norm_at(m)) for m in range(horizon + 1)]
+        gx, gy = 3 * gx + 5 * gy, gx + 3 * gy
+        bx, by = 2 * bx, 2 * by
+    # direct checks: d1*d2*n(H(m)) over the window (h(m), ..., h(m+3)) of the
+    # sequence seeded by (p, q), advanced by h(k+4) = h(k+2) + h(k+3)
+    n1, d1 = params.beta1.numerator, params.beta1.denominator
+    n2, d2 = params.beta2.numerator, params.beta2.denominator
+    c0, c1, c2, c3 = d1 * d2, n1 * d2, n2 * d1, n1 * n2
+    p, q = seeds
+    h0, h1, h2, h3 = p, q, p + q, p + 2 * q
     n_prime = 0
-    for m in range(horizon, -1, -1):
-        if signs[m] != limit_sign:
+    for m in range(horizon + 1):
+        value = c0 * h0 * h0 + c1 * h1 * h1 + c2 * h2 * h2 + c3 * h3 * h3
+        if value * limit_sign <= 0:
             n_prime = m + 1
-            break
+        h0, h1, h2, h3 = h1, h2, h3, h2 + h3
     return ThresholdCertificate(n_prime, horizon, limit_sign)
 
 
@@ -259,7 +306,10 @@ def invertibility_threshold(params: AlgebraParams) -> ThresholdCertificate:
     the decaying and oscillating terms for every m >= N (|beta^(2m)| <= 1);
     indices up to the horizon are then checked one by one.
     """
-    profile = growth_profile(params)
+    return _threshold(params, growth_profile(params))
+
+
+def _threshold(params: AlgebraParams, profile: GrowthProfile) -> ThresholdCertificate:
     limit_sign = profile.discriminant.sign()
     if limit_sign == 0:
         raise IndeterminateError(
@@ -267,12 +317,7 @@ def invertibility_threshold(params: AlgebraParams) -> ThresholdCertificate:
             "no stable norm sign exists"
         )
     bound = abs(profile.conjugate) + abs(profile.oscillating) * 2
-    return _certify(
-        limit_sign,
-        abs(profile.dominant),
-        bound,
-        lambda m: norm_closed_form(m, params),
-    )
+    return _certify(params, (0, 1), limit_sign, abs(profile.dominant), bound)
 
 
 def horadam_invertibility_threshold(
@@ -285,14 +330,18 @@ def horadam_invertibility_threshold(
     |A^2 S+| * alpha^(2N-2) > |B^2 S-| * alpha^2 + 2|AB * S0| with
     A = p + q*alpha, B = p + q*beta.
     """
-    discriminant = horadam_growth_discriminant(params, p, q)
-    limit_sign = discriminant.sign()
+    return _seeded_threshold(params, growth_profile(params), p, q)
+
+
+def _seeded_threshold(
+    params: AlgebraParams, profile: GrowthProfile, p: int, q: int
+) -> ThresholdCertificate:
+    limit_sign = _seeded_discriminant(profile, p, q).sign()
     if limit_sign == 0:
         raise IndeterminateError(
             f"seeded growth discriminant is zero for {params.label()} "
             f"with seeds (p, q) = ({p}, {q})"
         )
-    profile = growth_profile(params)
     alpha_sq = ALPHA * ALPHA
     a = ALPHA * q + p
     b = BETA * q + p
@@ -301,12 +350,7 @@ def horadam_invertibility_threshold(
     bound = abs(b * b * profile.conjugate) * alpha_sq + abs(
         profile.oscillating * cross
     ) * 2
-    return _certify(
-        limit_sign,
-        growth_abs,
-        bound,
-        lambda m: horadam_norm_closed_form(m, params, p, q),
-    )
+    return _certify(params, (p, q), limit_sign, growth_abs, bound)
 
 
 def _basis_norms(n: int, params: AlgebraParams) -> tuple[Fraction, Fraction]:

@@ -23,7 +23,12 @@ from fractions import Fraction
 from itertools import product
 from math import isqrt
 
-from .errors import MixedAlgebrasError, NotInvertibleError, ZeroScaleError
+from .errors import (
+    DegenerateAlgebraError,
+    MixedAlgebrasError,
+    NotInvertibleError,
+    ZeroScaleError,
+)
 from .exactnum import Rat, format_rat
 
 
@@ -37,7 +42,7 @@ class AlgebraParams:
     def __post_init__(self) -> None:
         b1, b2 = Fraction(self.beta1), Fraction(self.beta2)
         if b1 == 0 or b2 == 0:
-            raise ValueError(
+            raise DegenerateAlgebraError(
                 "algebra parameters must be nonzero "
                 f"(got beta1={format_rat(b1)}, beta2={format_rat(b2)})"
             )

@@ -34,6 +34,15 @@ def horadam_naive(n: int, p: int, q: int) -> int:
     return a
 
 
+def int_from_decimal(text: str) -> int:
+    """Value of ``-?[0-9]+`` read digit by digit, so the interpreter's limit
+    on int/str conversion does not apply; any other character raises."""
+    value = 0
+    for ch in text.removeprefix("-"):
+        value = value * 10 + "0123456789".index(ch)
+    return -value if text.startswith("-") else value
+
+
 def sign_by_interval(x: QSqrt5) -> int:
     """Sign via shrinking rational enclosures of sqrt(5); terminates for any
     exact input because sqrt(5) is irrational."""

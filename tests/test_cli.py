@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from fibclifford.cli import main, run_selftest
+from oracles import fib_naive, int_from_decimal
 
 EXPECTED_H1M1_REPORT = {
     "beta1": "1",
@@ -192,7 +193,7 @@ def test_clifford_table_degenerate_square(capsys):
         ["classify"],
         ["classify", "--beta1", "1"],
         ["classify", "--beta1", "1.5", "--beta2", "1"],
-        ["classify", "--beta1", "1", "--beta2", "0"],
+        ["classify", "--beta1", "1", "--beta2", "1/0"],
         ["classify", "--beta1", "1", "--beta2", "-1", "--p", "1"],
         ["fib", "--n", "-1"],
         ["quat-mul", "--beta1", "1", "--beta2", "1", "--x", "1,2,3", "--y", "1,0,0,0"],
@@ -203,6 +204,42 @@ def test_usage_errors_exit_one(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 1
     assert err != ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nprime", "--beta1", "1", "--beta2", "-1", "--p", "1_0", "--q", "1"],
+        ["nprime", "--beta1", "1", "--beta2", "-1", "--p", "1", "--q", "1_0"],
+        ["fib", "--n", "1_0"],
+        ["fib", "--n", "+5"],
+        ["classify", "--beta1", "\u0663", "--beta2", "1"],
+        ["clifford-table", "--squares", "1,,2"],
+    ],
+    ids=["p-underscore", "q-underscore", "n-underscore", "n-plus", "arabic-indic-digit",
+         "empty-square"],
+)
+def test_literal_grammar_is_strict(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "fibclifford: error:" in err
+
+
+@pytest.mark.parametrize("beta1,beta2", [("0", "-1"), ("1", "0")], ids=["beta1", "beta2"])
+def test_zero_parameter_is_a_domain_error(capsys, beta1, beta2):
+    code, out, err = run_cli(capsys, "classify", "--beta1", beta1, "--beta2", beta2)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("DegenerateAlgebraError:")
+
+
+def test_fib_output_past_int_str_limit(capsys):
+    code, out, _ = run_cli(capsys, "fib", "--n", "30000")
+    assert code == 0
+    digits = out.strip()
+    assert len(digits) == 6270 and digits[0] != "0"
+    assert int_from_decimal(digits) == fib_naive(30000)
 
 
 def test_help_exits_zero(capsys):

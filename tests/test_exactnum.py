@@ -16,9 +16,10 @@ from fibclifford.exactnum import (
     QSqrt5,
     alpha_pow,
     format_rat,
+    parse_int,
     parse_rat,
 )
-from oracles import fib_naive, lucas_naive, sign_by_interval
+from oracles import fib_naive, int_from_decimal, lucas_naive, sign_by_interval
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 elements = st.builds(QSqrt5, rationals, rationals)
@@ -41,15 +42,36 @@ def test_parse_rat(text, value):
     assert parse_rat(text) == value
 
 
-@pytest.mark.parametrize("bad", ["", "1.5", "+3", "3/0", "3/-2", "a", "1/2/3", "- 1"])
+@pytest.mark.parametrize(
+    "bad", ["", "1.5", "+3", "3/0", "3/-2", "a", "1/2/3", "- 1", "1_0", "\u0663", "1/\u0663"]
+)
 def test_parse_rat_rejects_garbage(bad):
     with pytest.raises(ValueError):
         parse_rat(bad)
 
 
+@pytest.mark.parametrize("text,value", [("0", 0), ("-12", -12), (" 7 ", 7), ("007", 7)])
+def test_parse_int(text, value):
+    assert parse_int(text) == value
+
+
+@pytest.mark.parametrize("bad", ["", "+5", "1_0", "\u0663", "1/2", "1.0", "- 1", "0x10"])
+def test_parse_int_rejects_garbage(bad):
+    with pytest.raises(ValueError):
+        parse_int(bad)
+
+
 @given(rationals)
 def test_format_parse_roundtrip(x):
     assert parse_rat(format_rat(x)) == x
+
+
+@pytest.mark.parametrize("value", [Fraction(-(3**9001), 7**5003), Fraction(10**6000), Fraction(0)])
+def test_format_rat_past_int_str_limit(value):
+    # 9001 * log10(3) and 5003 * log10(7) both exceed 4,300 digits
+    num, _, den = format_rat(value).partition("/")
+    assert Fraction(int_from_decimal(num), int_from_decimal(den or "1")) == value
+    assert not num.lstrip("-").startswith("0") or num == "0"
 
 
 # -- arithmetic examples -------------------------------------------------------

@@ -10,6 +10,7 @@ from fibclifford.errors import BelowThresholdError, IndeterminateError
 from fibclifford.exactnum import ALPHA, QSqrt5
 from fibclifford.fibquat import (
     FibSpaceVector,
+    _sign_z5,
     bilinear_form,
     fibonacci_quaternion,
     gram_matrix,
@@ -26,7 +27,7 @@ from fibclifford.fibquat import (
 )
 from fibclifford.quat import AlgebraParams
 from conftest import CLASS_FIXTURES
-from oracles import fib_naive, horadam_naive
+from oracles import fib_naive, horadam_naive, sign_by_interval
 
 H1M1 = AlgebraParams(1, -1)
 HM2M3 = AlgebraParams(-2, -3)
@@ -223,6 +224,20 @@ def test_seeded_threshold_certificate_validity(params):
             witness = horadam_norm_closed_form(cert.n_prime - 1, params, p, q)
             sign = 0 if witness == 0 else (1 if witness > 0 else -1)
             assert sign != cert.limit_sign
+
+
+# Pell solutions x^2 - 5y^2 = +-1: with mixed signs, x + y*sqrt5 is as close
+# to 0 as integers of that size allow.
+PELL = ((2, 1), (9, 4), (38, 17), (161, 72), (682, 305), (51841, 23184))
+NEAR_ZERO = tuple((sx * x, sy * y) for x, y in PELL for sx in (1, -1) for sy in (1, -1))
+big_ints = st.integers(-(10**30), 10**30)
+
+
+@settings(max_examples=200)
+@given(st.one_of(st.tuples(big_ints, big_ints), st.sampled_from(NEAR_ZERO)))
+def test_integer_sign_in_z_sqrt5_matches_interval_oracle(xy):
+    x, y = xy
+    assert _sign_z5(x, y) == sign_by_interval(QSqrt5(x, y))
 
 
 def test_degenerate_seeds_are_indeterminate():
