@@ -2,8 +2,10 @@
 arithmetic, Clifford tables, and an embedded self-verification suite.
 
 All numeric input is exact: rationals are written ``n`` or ``n/d`` with an
-optional leading minus (no decimals).  Exit codes: 0 success, 1 usage error,
-2 domain error (in particular a vanishing discriminant).  JSON output is
+optional leading minus (no decimals), each integer of at most
+``MAX_LITERAL_DIGITS`` digits.  Exit codes: 0 success, 1 usage error,
+2 domain error (in particular a vanishing discriminant or a literal over the
+digit cap).  JSON output is
 byte-stable for a fixed command line.
 """
 
@@ -22,13 +24,15 @@ from .clifford import (
     blade_product,
     classify,
     dimension,
+    quaternion_isomorphism,
 )
-from .errors import AlgebraError, IndeterminateError
-from .exactnum import QSqrt5, format_rat, parse_int, parse_rat
+from .errors import AlgebraError, IndeterminateError, LiteralTooLongError
+from .exactnum import ALPHA, BETA, QSqrt5, format_rat, parse_int, parse_rat
 from .fib import HoradamParams, binet, fib, horadam
 from .fibquat import (
     FibSpaceVector,
     bilinear_form,
+    growth_profile,
     horadam_invertibility_threshold,
     invertibility_threshold,
     quadratic_form,
@@ -62,40 +66,44 @@ def _normalize_argv(argv: list[str]) -> list[str]:
     return out
 
 
-def _rat_arg(text: str) -> Fraction:
-    try:
-        return parse_rat(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+class _LiteralCapError(Exception):
+    # not a ValueError, so it passes through argparse's type conversion
+    pass
 
 
-def _coeffs_arg(text: str) -> tuple[Fraction, ...]:
+def _arg(flag: str, convert):
+    """argparse type for ``flag``: a malformed literal is a usage error, one
+    over the digit cap a domain error naming the flag."""
+
+    def parse(text: str):
+        try:
+            return convert(text)
+        except LiteralTooLongError as exc:
+            raise _LiteralCapError(f"LiteralTooLongError: {flag}: {exc}") from None
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
+
+
+def _coeffs(text: str) -> tuple[Fraction, ...]:
     parts = text.split(",")
     if len(parts) != 4:
-        raise argparse.ArgumentTypeError(
-            f"expected 4 comma-separated rationals, got {len(parts)}"
-        )
-    return tuple(_rat_arg(p) for p in parts)
+        raise ValueError(f"expected 4 comma-separated rationals, got {len(parts)}")
+    return tuple(parse_rat(p) for p in parts)
 
 
-def _squares_arg(text: str) -> tuple[Fraction, ...]:
+def _squares(text: str) -> tuple[Fraction, ...]:
     parts = text.split(",")
     if "" in parts:
-        raise argparse.ArgumentTypeError(f"empty entry in {text!r}")
-    return tuple(_rat_arg(p) for p in parts)
+        raise ValueError(f"empty entry in {text!r}")
+    return tuple(parse_rat(p) for p in parts)
 
 
-def _int_arg(text: str) -> int:
-    try:
-        return parse_int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _nonneg_int_arg(text: str) -> int:
-    value = _int_arg(text)
+def _index(text: str) -> int:
+    value = parse_int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"index must be nonnegative, got {value}")
+        raise ValueError(f"index must be nonnegative, got {value}")
     return value
 
 
@@ -104,11 +112,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def algebra_flags(p: argparse.ArgumentParser, seeds: bool = False) -> None:
-        p.add_argument("--beta1", type=_rat_arg, required=True)
-        p.add_argument("--beta2", type=_rat_arg, required=True)
+        p.add_argument("--beta1", type=_arg("--beta1", parse_rat), required=True)
+        p.add_argument("--beta2", type=_arg("--beta2", parse_rat), required=True)
         if seeds:
-            p.add_argument("--p", type=_int_arg, default=None)
-            p.add_argument("--q", type=_int_arg, default=None)
+            p.add_argument("--p", type=_arg("--p", parse_int), default=None)
+            p.add_argument("--q", type=_arg("--q", parse_int), default=None)
 
     p = sub.add_parser("classify", help="classify the Clifford algebra of the Fibonacci space")
     algebra_flags(p, seeds=True)
@@ -121,22 +129,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_nprime)
 
     p = sub.add_parser("fib", help="n-th Fibonacci number")
-    p.add_argument("--n", type=_nonneg_int_arg, required=True)
+    p.add_argument("--n", type=_arg("--n", _index), required=True)
     p.set_defaults(func=_cmd_fib)
 
     p = sub.add_parser("quat-mul", help="multiply two quaternions")
     algebra_flags(p)
-    p.add_argument("--x", type=_coeffs_arg, required=True)
-    p.add_argument("--y", type=_coeffs_arg, required=True)
+    p.add_argument("--x", type=_arg("--x", _coeffs), required=True)
+    p.add_argument("--y", type=_arg("--y", _coeffs), required=True)
     p.set_defaults(func=_cmd_quat_mul)
 
     p = sub.add_parser("quat-norm", help="quaternion norm")
     algebra_flags(p)
-    p.add_argument("--x", type=_coeffs_arg, required=True)
+    p.add_argument("--x", type=_arg("--x", _coeffs), required=True)
     p.set_defaults(func=_cmd_quat_norm)
 
     p = sub.add_parser("clifford-table", help="basis product table of a Clifford algebra")
-    p.add_argument("--squares", type=_squares_arg, required=True)
+    p.add_argument("--squares", type=_arg("--squares", _squares), required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_clifford_table)
 
@@ -262,37 +270,35 @@ def _cmd_clifford_table(ns: argparse.Namespace) -> int:
 
 
 def _selftest_table(corrupt: bool) -> tuple[bool, str]:
-    checked = 0
-    for params in (AlgebraParams(1, 1), AlgebraParams(2, -3)):
-        b1, b2 = params.beta1, params.beta2
-        z = Fraction(0)
-        expected = {
-            (1, 1): (-b1, z, z, z),
-            (1, 2): (z, z, z, Fraction(1)),
-            (1, 3): (z, z, -b1, z),
-            (2, 1): (z, z, z, Fraction(-1)),
-            (2, 2): (-b2, z, z, z),
-            (2, 3): (z, b2, z, z),
-            (3, 1): (z, z, b1, z),
-            (3, 2): (z, -b2, z, z),
-            (3, 3): (-b1 * b2, z, z, z),
-        }
-        basis = Quaternion.basis(params)
-        for i in range(4):
-            for j in range(4):
-                product = basis[i] * basis[j]
-                if corrupt and (i, j) == (1, 2):
-                    product = -product
-                if i == 0:
-                    want = basis[j].coeffs
-                elif j == 0:
-                    want = basis[i].coeffs
-                else:
-                    want = expected[(i, j)]
-                if product.coeffs != want:
-                    return False, f"basis product e{i + 1}*e{j + 1} wrong in {params.label()}"
-                checked += 1
-    return True, f"{checked} basis products match the defining table"
+    # Both sides of each identity below are of degree <= 1 in each parameter,
+    # so holding on a 2x2 grid of distinct values proves it for all of them.
+    for b1 in (Fraction(2), Fraction(-1, 3)):
+        for b2 in (Fraction(3), Fraction(-5, 2)):
+            params = AlgebraParams(b1, b2)
+            # e_i * e_j = c * e_k as (k, c), indices into (1, e2, e3, e4)
+            table = {
+                (1, 1): (0, -b1), (1, 2): (3, 1), (1, 3): (2, -b1),
+                (2, 1): (3, -1), (2, 2): (0, -b2), (2, 3): (1, b2),
+                (3, 1): (2, b1), (3, 2): (1, -b2), (3, 3): (0, -b1 * b2),
+            }
+            basis = Quaternion.basis(params)
+            for i in range(4):
+                for j in range(4):
+                    product = basis[i] * basis[j]
+                    if corrupt and (i, j) == (1, 2):
+                        product = -product
+                    k, c = table.get((i, j), (i + j, 1))
+                    if product.coeffs != tuple(c if m == k else 0 for m in range(4)):
+                        return False, f"basis product e{i + 1}*e{j + 1} wrong in {params.label()}"
+            profile = growth_profile(params)
+            for constant, root in ((profile.dominant, ALPHA), (profile.conjugate, BETA)):
+                r2 = root * root
+                if constant != 1 + r2 * b1 + r2 * r2 * b2 + r2 * r2 * r2 * (b1 * b2):
+                    return False, f"growth constants wrong for {params.label()}"
+            _, model = quaternion_isomorphism(DiagonalForm((b1, b2)))
+            if not model.is_multiplicative():
+                return False, f"blade products of diag({b1}, {b2}) leave H({-b1}, {-b2})"
+    return True, "basis products, growth constants and blade products hold for all parameters"
 
 
 def _selftest_norm_multiplicativity(corrupt: bool) -> tuple[bool, str]:
@@ -408,10 +414,14 @@ _SELFTEST_GROUPS = (
 
 def run_selftest(corrupt_group: str | None = None) -> list[tuple[str, bool, str]]:
     """Run every identity group; ``corrupt_group`` is a fault-injection hook
-    used by the test harness to confirm that failures are detected."""
+    used by the test harness to confirm that failures are detected.  A group
+    that raises fails with the exception as its detail."""
     results = []
     for name, func in _SELFTEST_GROUPS:
-        ok, detail = func(corrupt=(corrupt_group == name))
+        try:
+            ok, detail = func(corrupt=(corrupt_group == name))
+        except Exception as exc:  # a crash is a failed group, not a traceback
+            ok, detail = False, f"{type(exc).__name__}: {exc}"
         results.append((name, ok, detail))
     return results
 
@@ -438,6 +448,9 @@ def run(argv: list[str]) -> int:
         parser.print_usage(sys.stderr)
         print(f"fibclifford: error: {exc}", file=sys.stderr)
         return 1
+    except _LiteralCapError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else int(exc.code)
     try:

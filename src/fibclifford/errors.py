@@ -20,6 +20,10 @@ class DegenerateAlgebraError(AlgebraError, ValueError):
     """
 
 
+class LiteralTooLongError(AlgebraError, ValueError):
+    """A literal holds an integer of more than ``MAX_LITERAL_DIGITS`` digits."""
+
+
 class MixedAlgebrasError(AlgebraError):
     """Quaternions from algebras with different parameters were combined."""
 

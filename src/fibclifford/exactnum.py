@@ -15,6 +15,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import LiteralTooLongError
+
 Rat = Fraction
 
 # ASCII digits only: ``\d`` and ``int()`` also take other scripts' digits,
@@ -22,20 +24,36 @@ Rat = Fraction
 _INT_PATTERN = re.compile(r"-?[0-9]+")
 _RAT_PATTERN = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
+#: Most digits one integer of a literal may have; below CPython's default
+#: 4300-digit str-to-int limit, so this cap, a domain error, applies first.
+MAX_LITERAL_DIGITS = 4000
+
+
+def _check_digits(s: str) -> None:
+    digits = max(len(part) for part in s.lstrip("-").split("/"))
+    if digits > MAX_LITERAL_DIGITS:
+        raise LiteralTooLongError(
+            f"{digits}-digit integer exceeds the cap of {MAX_LITERAL_DIGITS} digits"
+        )
+
 
 def parse_int(text: str) -> int:
-    """Parse ``"n"`` (optional leading ``-``, ASCII digits only)."""
+    """Parse ``"n"`` (optional leading ``-``, ASCII digits only, at most
+    ``MAX_LITERAL_DIGITS`` digits)."""
     s = text.strip()
     if not _INT_PATTERN.fullmatch(s):
         raise ValueError(f"not an integer literal: {text!r}")
+    _check_digits(s)
     return int(s)
 
 
 def parse_rat(text: str) -> Rat:
-    """Parse ``"n"`` or ``"n/d"`` (optional leading ``-``, ``d`` > 0)."""
+    """Parse ``"n"`` or ``"n/d"`` (optional leading ``-``, ``d`` > 0, each of
+    ``n`` and ``d`` at most ``MAX_LITERAL_DIGITS`` digits)."""
     s = text.strip()
     if not _RAT_PATTERN.fullmatch(s):
         raise ValueError(f"not a rational literal: {text!r}")
+    _check_digits(s)
     if "/" in s:
         num, den = s.split("/")
         if int(den) == 0:

@@ -39,7 +39,7 @@ from math import lcm
 
 from .errors import BelowThresholdError, IndeterminateError
 from .exactnum import ALPHA, BETA, QSqrt5, Rat
-from .fib import HoradamParams, fib, fib_pair, horadam
+from .fib import HoradamParams, fib_pair, horadam
 from .quat import AlgebraParams, Quaternion
 
 
@@ -146,48 +146,27 @@ def fibonacci_quaternion(n: int, params: AlgebraParams) -> Quaternion:
 def horadam_quaternion(n: int, p: int, q: int, params: AlgebraParams) -> Quaternion:
     """H(n; p, q) with coefficients (h(n), ..., h(n+3)), h seeded by (p, q).
 
-    Both routes are computed: the Horadam coefficients directly, and the
-    Fibonacci-quaternion combination p*F(n-1) + q*F(n) (seed values where
-    the index calls for f(-1)); any disagreement would be a build-stopping
-    internal error.
+    For n >= 1 this is p*F(n-1) + q*F(n); the test suite checks that
+    identity, for small n and for n >= 1000.
     """
     seeds = HoradamParams(p, q)
-    coeffs = tuple(horadam(n + j, seeds) for j in range(4))
-    for j, value in enumerate(coeffs):
-        k = n + j
-        expected = p if k == 0 else p * fib(k - 1) + q * fib(k)
-        if value != expected:
-            raise AssertionError(
-                f"Horadam coefficient routes disagree at index {k}: "
-                f"{value} != {expected}"
-            )
-    return Quaternion(params, *coeffs)
+    return Quaternion(params, *(horadam(n + j, seeds) for j in range(4)))
 
 
 def growth_profile(params: AlgebraParams) -> GrowthProfile:
-    """All growth constants for H(beta1, beta2), computed by two routes.
+    """All growth constants for H(beta1, beta2).
 
-    The dominant constant is evaluated both as the polynomial
-    1 + b1*a^2 + b2*a^4 + b1*b2*a^6 at the golden ratio and in the expanded
-    form (1 + b1 + 2 b2 + 5 b1 b2) + (b1 + 3 b2 + 8 b1 b2)*alpha; both must
-    agree exactly.
+    S+ = 1 + b1*a^2 + b2*a^4 + b1*b2*a^6 at the golden ratio a is built as
+    u + v*a with u = 1 + b1 + 2 b2 + 5 b1 b2, v = b1 + 3 b2 + 8 b1 b2; S-,
+    the same polynomial at beta, is its Galois conjugate.  The test suite
+    proves both equal to the polynomial for every (b1, b2).
     """
     b1, b2 = params.beta1, params.beta2
-    dominant = _weighted_even_powers(b1, b2, ALPHA)
     u = 1 + b1 + 2 * b2 + 5 * b1 * b2
     v = b1 + 3 * b2 + 8 * b1 * b2
-    expanded = QSqrt5(u + v / 2, v / 2)
-    if dominant != expanded:
-        raise AssertionError("growth constant routes disagree")
-    conjugate = _weighted_even_powers(b1, b2, BETA)
+    dominant = QSqrt5(u + v / 2, v / 2)
     oscillating = QSqrt5.from_rat(1 - b1 + b2 - b1 * b2)
-    return GrowthProfile(dominant, conjugate, oscillating, dominant / 5)
-
-
-def _weighted_even_powers(b1: Fraction, b2: Fraction, x: QSqrt5) -> QSqrt5:
-    x2 = x * x
-    x4 = x2 * x2
-    return 1 + x2 * b1 + x4 * b2 + x4 * x2 * (b1 * b2)
+    return GrowthProfile(dominant, dominant.conjugate(), oscillating, dominant / 5)
 
 
 def growth_discriminant(params: AlgebraParams) -> QSqrt5:
@@ -214,17 +193,12 @@ def _seeded_discriminant(profile: GrowthProfile, p: int, q: int) -> QSqrt5:
 
 
 def norm_closed_form(n: int, params: AlgebraParams) -> Rat:
-    """norm(F(n)) via the exact closed form; always a plain rational."""
-    if n < 0:
-        raise ValueError(f"index must be nonnegative, got {n}")
-    profile = growth_profile(params)
-    osc_coeff = -2 if n % 2 == 0 else 2
-    value = (
-        profile.dominant * (ALPHA ** (2 * n))
-        + profile.conjugate * (BETA ** (2 * n))
-        + profile.oscillating * osc_coeff
-    ) / 5
-    return value.as_rat()
+    """norm(F(n)) via the exact closed form; always a plain rational.
+
+    F(n) = H(n; 0, 1), and the seeded closed form at (p, q) = (0, 1) is the
+    one in the module docstring.
+    """
+    return horadam_norm_closed_form(n, params, 0, 1)
 
 
 def horadam_norm_closed_form(n: int, params: AlgebraParams, p: int, q: int) -> Rat:
@@ -389,21 +363,11 @@ def quadratic_form(z: FibSpaceVector, params: AlgebraParams) -> Rat:
 def bilinear_form(
     x: FibSpaceVector, y: FibSpaceVector, params: AlgebraParams
 ) -> Rat:
-    """Polarization of the quadratic form; equals the diagonal formula.
-
-    Both routes are evaluated and compared before returning.
-    """
+    """n(F(n))*x1*y1 + n(F(n+1))*x2*y2, the polarization of the quadratic
+    form (the test suite checks that identity)."""
     x._require_same_basepoint(y)
     n0, n1 = _basis_norms(x.n, params)
-    diagonal = n0 * x.x1 * y.x1 + n1 * x.x2 * y.x2
-    polarized = (
-        quadratic_form(x + y, params)
-        - quadratic_form(x, params)
-        - quadratic_form(y, params)
-    ) / 2
-    if polarized != diagonal:
-        raise AssertionError("polarization and diagonal routes disagree")
-    return diagonal
+    return n0 * x.x1 * y.x1 + n1 * x.x2 * y.x2
 
 
 def gram_matrix(

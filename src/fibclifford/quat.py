@@ -243,19 +243,18 @@ def scale_isomorphism(
 ) -> tuple[AlgebraParams, BasisMap]:
     """Isomorphism H(b1, b2) -> H(x^2 b1, y^2 b2) for nonzero rational x, y.
 
-    The basis map is 1 -> 1, e2 -> e2'/x, e3 -> e3'/y, e4 -> e4'/(xy); it is
-    verified to commute with multiplication on all basis pairs before being
-    returned.
+    The basis map is 1 -> 1, e2 -> e2'/x, e3 -> e3'/y, e4 -> e4'/(xy).  The
+    test suite proves it multiplicative for every nonzero b1, b2, x, y; it
+    is not re-checked per call.
     """
     x, y = Fraction(x), Fraction(y)
     if x == 0 or y == 0:
         raise ZeroScaleError("scale factors must be nonzero")
     target = AlgebraParams(x * x * params.beta1, y * y * params.beta2)
     one, e2, e3, e4 = Quaternion.basis(target)
-    mapping = BasisMap(params, target, (one, e2 * (1 / x), e3 * (1 / y), e4 * (1 / (x * y))))
-    if not mapping.is_multiplicative():
-        raise AssertionError("scaling basis map failed the homomorphism check")
-    return target, mapping
+    return target, BasisMap(
+        params, target, (one, e2 * (1 / x), e3 * (1 / y), e4 * (1 / (x * y)))
+    )
 
 
 def _rat_sqrt(value: Fraction) -> Fraction | None:

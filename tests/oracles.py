@@ -43,6 +43,14 @@ def int_from_decimal(text: str) -> int:
     return -value if text.startswith("-") else value
 
 
+def weighted_even_powers(b1: Fraction, b2: Fraction, x: QSqrt5) -> QSqrt5:
+    """1 + b1*x^2 + b2*x^4 + b1*b2*x^6: the growth constant S+ at x = alpha,
+    S- at x = beta, evaluated as the polynomial it is defined by."""
+    x2 = x * x
+    x4 = x2 * x2
+    return 1 + x2 * b1 + x4 * b2 + x4 * x2 * (b1 * b2)
+
+
 def sign_by_interval(x: QSqrt5) -> int:
     """Sign via shrinking rational enclosures of sqrt(5); terminates for any
     exact input because sqrt(5) is irrational."""

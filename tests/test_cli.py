@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from fibclifford.cli import main, run_selftest
+from fibclifford.exactnum import MAX_LITERAL_DIGITS
 from oracles import fib_naive, int_from_decimal
 
 EXPECTED_H1M1_REPORT = {
@@ -232,6 +233,40 @@ def test_zero_parameter_is_a_domain_error(capsys, beta1, beta2):
     assert code == 2
     assert out == ""
     assert err.startswith("DegenerateAlgebraError:")
+
+
+OVER_CAP = "9" * (MAX_LITERAL_DIGITS + 1)
+
+
+@pytest.mark.parametrize(
+    "argv,flag,digits",
+    [
+        (["classify", "--beta1", OVER_CAP, "--beta2", "-1"], "--beta1", len(OVER_CAP)),
+        (["classify", "--beta1", "1", "--beta2", "1/" + OVER_CAP], "--beta2", len(OVER_CAP)),
+        (["classify", "--beta1", "1", "--beta2", "9" * 5000], "--beta2", 5000),
+        (["nprime", "--beta1", "1", "--beta2", "-1", "--p", "-" + OVER_CAP, "--q", "1"], "--p",
+         len(OVER_CAP)),
+        (["fib", "--n", OVER_CAP], "--n", len(OVER_CAP)),
+    ],
+    ids=["beta1", "beta2-denominator", "beta2-5000-digits", "p", "n"],
+)
+def test_literal_over_digit_cap_is_a_domain_error(capsys, argv, flag, digits):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"LiteralTooLongError: {flag}: {digits}-digit integer exceeds "
+        f"the cap of {MAX_LITERAL_DIGITS} digits\n"
+    )
+
+
+def test_literal_at_digit_cap_succeeds(capsys):
+    beta2 = "-" + "9" * MAX_LITERAL_DIGITS
+    code, out, _ = run_cli(capsys, "classify", "--beta1", "1", "--beta2", beta2, "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["beta2"] == beta2
+    assert data["sign_E"] == -1
 
 
 def test_fib_output_past_int_str_limit(capsys):

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fibclifford.errors import LiteralTooLongError
 from fibclifford.exactnum import (
     ALPHA,
     BETA,
+    MAX_LITERAL_DIGITS,
     ONE,
     SQRT5,
     ZERO,
@@ -59,6 +61,23 @@ def test_parse_int(text, value):
 def test_parse_int_rejects_garbage(bad):
     with pytest.raises(ValueError):
         parse_int(bad)
+
+
+def test_literal_digit_cap():
+    cap = MAX_LITERAL_DIGITS
+    assert cap < 4300  # CPython's default limit on str-to-int conversion
+    assert parse_int("-" + "9" * cap) == 1 - 10**cap
+    assert parse_rat("1/" + "7" * cap) == Fraction(1, int("7" * cap))
+    for parse, text, digits in (
+        (parse_int, "9" * (cap + 1), cap + 1),
+        (parse_rat, "-" + "9" * (cap + 1), cap + 1),
+        (parse_rat, "1/" + "9" * (cap + 1), cap + 1),
+        (parse_rat, "9" * 5000 + "/7", 5000),
+    ):
+        with pytest.raises(LiteralTooLongError) as excinfo:
+            parse(text)
+        assert isinstance(excinfo.value, ValueError)
+        assert str(excinfo.value) == f"{digits}-digit integer exceeds the cap of {cap} digits"
 
 
 @given(rationals)

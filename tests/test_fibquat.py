@@ -70,6 +70,15 @@ def test_horadam_quaternion_dual_routes(n, p, q):
     assert combination == horadam_quaternion(n + 1, p, q, HM2M3)
 
 
+@pytest.mark.parametrize("n", [1000, 1001, 2718])
+def test_horadam_quaternion_is_fibonacci_combination_at_large_index(n):
+    for p, q in ((2, 3), (-7, 4), (10**20 + 1, -(10**19))):
+        x = horadam_quaternion(n, p, q, HM2M3)
+        assert x.coeffs == tuple(
+            p * fib_naive(k - 1) + q * fib_naive(k) for k in range(n, n + 4)
+        )
+
+
 # -- growth constants ------------------------------------------------------------
 
 

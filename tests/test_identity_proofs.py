@@ -1,0 +1,175 @@
+"""Proofs, for every input, of the identities the library no longer re-checks
+per call, and fault injections showing that each proof catches a broken
+implementation.
+
+Each identity compares two expressions that, read off the code, are
+polynomials of bounded degree in each input variable: the code applies
+field operations only, and branches on the values only to reject zeros.
+A polynomial of degree <= d in a variable that vanishes at d + 1 distinct
+values of it is zero in that variable; applied one variable at a time,
+vanishing on a tensor grid with d_k + 1 distinct values in variable k makes
+it vanish everywhere.  So agreement on such a grid proves the identity for
+all inputs, not just the sampled ones.
+"""
+
+from __future__ import annotations
+
+import __future__
+import inspect
+import sys
+import textwrap
+from fractions import Fraction
+
+import pytest
+
+from fibclifford import clifford, fibquat, quat
+from fibclifford.cli import run_selftest
+from fibclifford.exactnum import ALPHA, BETA
+from oracles import weighted_even_powers
+
+PAIR_GRID = (Fraction(2), Fraction(-1, 3))
+PAIR_GRID_2 = (Fraction(3), Fraction(-5, 2))
+SCALE_X = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 3), Fraction(-5, 2))
+SCALE_Y = (Fraction(1), Fraction(-2), Fraction(3, 2), Fraction(-1, 4), Fraction(5))
+SCALE_B1 = (Fraction(1), Fraction(-3, 2))
+SCALE_B2 = (Fraction(-1), Fraction(2, 7))
+
+
+def prove_growth_profile() -> None:
+    for b1 in PAIR_GRID:
+        for b2 in PAIR_GRID_2:
+            profile = fibquat.growth_profile(quat.AlgebraParams(b1, b2))
+            assert profile.dominant == weighted_even_powers(b1, b2, ALPHA), (b1, b2)
+            assert profile.conjugate == weighted_even_powers(b1, b2, BETA), (b1, b2)
+
+
+def prove_blade_table() -> None:
+    for a in PAIR_GRID:
+        for b in PAIR_GRID_2:
+            form = clifford.DiagonalForm((a, b))
+            params, model = clifford.quaternion_isomorphism(form)
+            assert params == quat.AlgebraParams(-a, -b)
+            images = model.blade_images
+            for i in range(4):
+                for j in range(4):
+                    coeff, mask = clifford.blade_product(i, j, form)
+                    assert images[mask] * coeff == images[i] * images[j], (a, b, i, j)
+
+
+def prove_scaling() -> None:
+    for b1 in SCALE_B1:
+        for b2 in SCALE_B2:
+            params = quat.AlgebraParams(b1, b2)
+            basis = quat.Quaternion.basis(params)
+            for x in SCALE_X:
+                for y in SCALE_Y:
+                    target, mapping = quat.scale_isomorphism(params, x, y)
+                    assert mapping.apply(basis[0]) == quat.Quaternion.one(target)
+                    for u in basis:
+                        for v in basis:
+                            assert mapping.apply(u * v) == (
+                                mapping.apply(u) * mapping.apply(v)
+                            ), (b1, b2, x, y)
+
+
+def test_growth_profile_is_the_defining_polynomial_everywhere():
+    """growth_profile's S+ = u + v*alpha and S- = its Galois conjugate equal
+    1 + b1*x^2 + b2*x^4 + b1*b2*x^6 at x = alpha and x = beta, for all b1, b2.
+
+    Both sides are polynomials in (b1, b2) with coefficients in Q(sqrt 5),
+    of degree <= 1 in each: u = 1 + b1 + 2 b2 + 5 b1 b2 and
+    v = b1 + 3 b2 + 8 b1 b2 are bilinear, and so is the defining polynomial.
+    A 2x2 grid of distinct nonzero values therefore proves each equality.
+    """
+    prove_growth_profile()
+
+
+def test_blade_table_is_the_quaternion_table_everywhere():
+    """Cl(diag(a, b)) -> H(-a, -b), blades (1, g1, g2, g1g2) to (1, e2, e3, e4),
+    is multiplicative for every nonzero a, b.
+
+    On each of the 16 blade pairs the blade product is +-a^i b^j with
+    i, j <= 1 (a generator contracts at most once), and the product of two
+    basis quaternions of H(-a, -b) has coefficients 0, +-1, +-a, +-b or
+    +-ab.  Both sides are of degree <= 1 in a and in b, so a 2x2 grid of
+    distinct nonzero values proves all 16 equalities.
+    """
+    prove_blade_table()
+
+
+def test_scaling_map_is_multiplicative_everywhere():
+    """scale_isomorphism's map H(b1, b2) -> H(x^2 b1, y^2 b2),
+    e2 -> e2'/x, e3 -> e3'/y, e4 -> e4'/(xy), is a unital homomorphism for
+    every nonzero b1, b2, x, y.
+
+    Multiplied by x^2 y^2, both sides of apply(u*v) = apply(u)*apply(v) for
+    basis u, v are polynomials: each image carries at most 1/x and 1/y, and
+    the target parameters x^2 b1, y^2 b2 and their product at most x^2 and
+    y^2, so the degree is <= 4 in x and in y and <= 1 in b1 and in b2.
+    A 5x5x2x2 grid of distinct nonzero values proves the identity, and
+    x^2 y^2 != 0 carries it back to the map itself.
+    """
+    prove_scaling()
+
+
+# -- fault injection ----------------------------------------------------------------
+
+
+def _replace_everywhere(monkeypatch, original, replacement) -> None:
+    """Rebind every fibclifford module attribute bound to ``original``."""
+    for name, module in list(sys.modules.items()):
+        if name == "fibclifford" or name.startswith("fibclifford."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
+def _mutate(monkeypatch, module, name: str, old: str, new: str) -> None:
+    """Recompile ``module.name`` from its source with ``old`` replaced by ``new``."""
+    original = getattr(module, name)
+    source = textwrap.dedent(inspect.getsource(original))
+    assert source.count(old) == 1, old
+    namespace = dict(vars(module))
+    flags = __future__.annotations.compiler_flag
+    exec(compile(source.replace(old, new), module.__file__, "exec", flags), namespace)
+    _replace_everywhere(monkeypatch, original, namespace[name])
+
+
+def _multiplication_table_passes() -> bool:
+    return dict((name, ok) for name, ok, _ in run_selftest())["multiplication-table"]
+
+
+def test_flipped_blade_product_fails_the_proof_and_selftest(monkeypatch):
+    original = clifford.blade_product
+
+    def flipped(mask_a, mask_b, form):
+        coeff, mask = original(mask_a, mask_b, form)
+        return (-coeff if (mask_a, mask_b) == (1, 2) else coeff), mask
+
+    monkeypatch.setattr(clifford, "blade_product", flipped)
+    with pytest.raises(AssertionError):
+        prove_blade_table()
+    assert not _multiplication_table_passes()
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("u = 1 + b1 + 2 * b2", "u = 2 + b1 + 2 * b2"),
+        ("5 * b1 * b2", "6 * b1 * b2"),
+        ("v = b1 + 3 * b2", "v = b1 + 4 * b2"),
+        ("8 * b1 * b2", "7 * b1 * b2"),
+    ],
+    ids=["u-constant", "u-b1b2", "v-b2", "v-b1b2"],
+)
+def test_perturbed_growth_coefficient_fails_the_proof_and_selftest(monkeypatch, old, new):
+    _mutate(monkeypatch, fibquat, "growth_profile", old, new)
+    with pytest.raises(AssertionError):
+        prove_growth_profile()
+    assert not _multiplication_table_passes()
+
+
+def test_wrong_scaling_image_fails_the_proof(monkeypatch):
+    _mutate(monkeypatch, quat, "scale_isomorphism", "e4 * (1 / (x * y))", "e4 * (1 / (x * x))")
+    with pytest.raises(AssertionError):
+        prove_scaling()
