@@ -16,7 +16,6 @@ from .clifford import (
     blade_name,
     blade_product,
     classify,
-    dimension,
     fibonacci_form,
     quaternion_isomorphism,
     rank2_class,
@@ -33,7 +32,7 @@ from .errors import (
     NotInvertibleError,
     ZeroScaleError,
 )
-from .exactnum import ALPHA, BETA, SQRT5, QSqrt5, Rat, alpha_pow, format_rat, parse_rat
+from .exactnum import ALPHA, BETA, SQRT5, QSqrt5, Rat, format_rat, parse_rat
 from .fib import HoradamParams, binet, fib, fib_pair, horadam, lucas
 from .fibquat import (
     FibSpaceVector,
@@ -92,13 +91,11 @@ __all__ = [
     "Rat",
     "ThresholdCertificate",
     "ZeroScaleError",
-    "alpha_pow",
     "bilinear_form",
     "binet",
     "blade_name",
     "blade_product",
     "classify",
-    "dimension",
     "fib",
     "fib_pair",
     "fibonacci_form",

@@ -23,10 +23,9 @@ from .clifford import (
     blade_name,
     blade_product,
     classify,
-    dimension,
     quaternion_isomorphism,
 )
-from .errors import AlgebraError, IndeterminateError, LiteralTooLongError
+from .errors import AlgebraError, LiteralTooLongError
 from .exactnum import ALPHA, BETA, QSqrt5, format_rat, parse_int, parse_rat
 from .fib import HoradamParams, binet, fib, horadam
 from .fibquat import (
@@ -295,6 +294,8 @@ def _selftest_table(corrupt: bool) -> tuple[bool, str]:
                 r2 = root * root
                 if constant != 1 + r2 * b1 + r2 * r2 * b2 + r2 * r2 * r2 * (b1 * b2):
                     return False, f"growth constants wrong for {params.label()}"
+            if profile.oscillating != QSqrt5.from_rat(1 - b1 + b2 - b1 * b2):
+                return False, f"growth constants wrong for {params.label()}"
             _, model = quaternion_isomorphism(DiagonalForm((b1, b2)))
             if not model.is_multiplicative():
                 return False, f"blade products of diag({b1}, {b2}) leave H({-b1}, {-b2})"
@@ -372,7 +373,7 @@ def _selftest_polarization(corrupt: bool) -> tuple[bool, str]:
 def _selftest_dimension(corrupt: bool) -> tuple[bool, str]:
     for rank in range(7):
         form = DiagonalForm(tuple(Fraction(-1) for _ in range(rank)))
-        if dimension(form) != 1 << rank:
+        if form.dim != 1 << rank:
             return False, f"dimension wrong at rank {rank}"
         for mask in range(form.dim):
             _, result = blade_product(mask, form.dim - 1, form)
@@ -444,6 +445,7 @@ def run(argv: list[str]) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(_normalize_argv(list(argv)))
+        return ns.func(ns)
     except _UsageError as exc:
         parser.print_usage(sys.stderr)
         print(f"fibclifford: error: {exc}", file=sys.stderr)
@@ -453,15 +455,6 @@ def run(argv: list[str]) -> int:
         return 2
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else int(exc.code)
-    try:
-        return ns.func(ns)
-    except _UsageError as exc:
-        parser.print_usage(sys.stderr)
-        print(f"fibclifford: error: {exc}", file=sys.stderr)
-        return 1
-    except IndeterminateError as exc:
-        print(f"IndeterminateError: {exc}", file=sys.stderr)
-        return 2
     except AlgebraError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

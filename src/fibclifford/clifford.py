@@ -20,14 +20,13 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import DegenerateFormError, IndeterminateError, MixedFormsError
+from .errors import DegenerateFormError, MixedFormsError
 from .exactnum import QSqrt5, Rat, format_rat
 from .fibquat import (
     ThresholdCertificate,
+    _basis_norms,
+    _certify,
     _seeded_discriminant,
-    _seeded_threshold,
-    _threshold,
-    fibonacci_quaternion,
     growth_profile,
 )
 from .quat import AlgebraParams, Quaternion, is_division_algebra
@@ -67,11 +66,6 @@ class DiagonalForm:
 
     def __getitem__(self, i: int) -> Fraction:
         return self.squares[i]
-
-
-def dimension(form: DiagonalForm) -> int:
-    """Dimension 2^n of the Clifford algebra on n generators."""
-    return form.dim
 
 
 def blade_name(mask: int) -> str:
@@ -281,8 +275,7 @@ def quaternion_isomorphism(form: DiagonalForm) -> tuple[AlgebraParams, Quaternio
 
 def fibonacci_form(n: int, params: AlgebraParams) -> DiagonalForm:
     """diag(n(F(n)), n(F(n+1))): the form of the rank-2 space at basepoint n."""
-    n0 = fibonacci_quaternion(n, params).norm()
-    n1 = fibonacci_quaternion(n + 1, params).norm()
+    n0, n1 = _basis_norms(n, params)
     if n0 == 0 or n1 == 0:
         raise DegenerateFormError(
             f"degenerate at n={n} in {params.label()}: "
@@ -342,10 +335,12 @@ def classify(
 
     Positive discriminant yields the split class with canonical model
     H(-1, -1); negative yields the division class with canonical model
-    H(1, 1).  The concrete rank-2 form is taken at the certified threshold,
-    where the certificate guarantees both basis norms are nonzero, and the
-    witness pair (|n(F(n))|, |n(F(n+1))|) rescales the identified
-    H(-n(F(n)), -n(F(n+1))) onto the canonical model by squares.
+    H(1, 1); sign(E) is the limit sign of the plain certificate, which
+    never vanishes for rational parameters.  The concrete rank-2 form is
+    taken at the certified threshold, where the certificate guarantees both
+    basis norms are nonzero, and the witness pair (|n(F(n))|, |n(F(n+1))|)
+    rescales the identified H(-n(F(n)), -n(F(n+1))) onto the canonical
+    model by squares.
 
     Optional integer seeds (p, q) additionally certify the threshold for
     the seeded quaternions H(n; p, q); seeds (0, 0) have a vanishing seeded
@@ -354,18 +349,13 @@ def classify(
     if (p is None) != (q is None):
         raise ValueError("seeds p and q must be given together")
     profile = growth_profile(params)
-    discriminant = profile.discriminant
-    sign = discriminant.sign()
-    if sign == 0:
-        raise IndeterminateError(
-            f"growth discriminant is zero for {params.label()}; no class is defined"
-        )
-    certificate = _threshold(params, profile)
+    certificate = _certify(params, 0, 1)
+    sign = certificate.limit_sign
     seeds = seeded_discriminant = seeded_certificate = None
     if p is not None:
         seeds = (p, q)
         seeded_discriminant = _seeded_discriminant(profile, p, q)
-        seeded_certificate = _seeded_threshold(params, profile, p, q)
+        seeded_certificate = _certify(params, p, q)
     basepoint = certificate.n_prime
     form = fibonacci_form(basepoint, params)
     clifford_class = rank2_class(form)
@@ -375,7 +365,7 @@ def classify(
     canonical = "H(1,1)" if clifford_class is CliffordClass.DIVISION else "H(-1,-1)"
     return ClassificationReport(
         params=params,
-        discriminant=discriminant,
+        discriminant=profile.discriminant,
         discriminant_sign=sign,
         input_is_division=is_division_algebra(params),
         certificate=certificate,

@@ -41,7 +41,8 @@ class ZeroScaleError(AlgebraError):
 
 
 class IndeterminateError(AlgebraError):
-    """The growth discriminant vanishes, so no threshold or class is defined."""
+    """The seeded growth discriminant vanishes (seeds (0, 0)), so no
+    threshold is defined; E itself never vanishes for rational parameters."""
 
 
 class BelowThresholdError(AlgebraError):

@@ -5,8 +5,8 @@ canonical form used throughout this package (reduced, positive denominator,
 structural equality).  :class:`QSqrt5` represents the real number
 ``a + b*sqrt(5)`` with rational ``a``, ``b``.  Because sqrt(5) is irrational
 the representation is unique, so equality is componentwise and the sign of
-any element is decidable by pure rational case analysis; no floating point
-appears anywhere.
+any element is decidable on integers, by comparing x**2 with 5*y**2 once the
+denominators are cleared; no floating point appears anywhere.
 """
 
 from __future__ import annotations
@@ -83,12 +83,15 @@ def format_rat(value: Rat | int) -> str:
     return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
 
 
-def rat_sign(x: Rat | int) -> int:
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
+def _sign_z5(x: int, y: int) -> int:
+    """Sign of x + y*sqrt(5) for integers x, y."""
+    sx = (x > 0) - (x < 0)
+    sy = (y > 0) - (y < 0)
+    if sx == sy or sy == 0:
+        return sx
+    if sx == 0:
+        return sy
+    return sx if x * x > 5 * y * y else -sx
 
 
 @dataclass(frozen=True, slots=True, eq=True)
@@ -190,20 +193,14 @@ class QSqrt5:
     # -- order structure ----------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign of the real number, by rational case analysis.
+        """Exact sign of the real number.
 
-        When the components carry the same sign the answer is immediate;
-        otherwise ``a`` and ``-b*sqrt(5)`` compete and comparing ``a**2``
-        with ``5*b**2`` settles it without leaving Q.
+        Scaled by the positive common denominator of ``a`` and ``b`` it is an
+        integer x + y*sqrt(5); when x and y differ in sign, comparing x**2
+        with 5*y**2 settles it without leaving Z.
         """
-        sa, sb = rat_sign(self.a), rat_sign(self.b)
-        if sb == 0:
-            return sa
-        if sa == 0:
-            return sb
-        if sa == sb:
-            return sa
-        return sa * rat_sign(self.a * self.a - 5 * self.b * self.b)
+        a, b = self.a, self.b
+        return _sign_z5(a.numerator * b.denominator, b.numerator * a.denominator)
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
@@ -270,14 +267,3 @@ SQRT5 = QSqrt5(Fraction(0), Fraction(1))
 #: golden ratio (1 + sqrt 5)/2 and its conjugate (1 - sqrt 5)/2
 ALPHA = QSqrt5(Fraction(1, 2), Fraction(1, 2))
 BETA = QSqrt5(Fraction(1, 2), Fraction(-1, 2))
-
-
-def alpha_pow(n: int) -> QSqrt5:
-    """Exact n-th power of the golden ratio, n >= 0.
-
-    Equals ``(lucas(n) + fib(n)*sqrt(5)) / 2``; the test suite cross-checks
-    this identity against the sequence recurrences.
-    """
-    if n < 0:
-        raise ValueError(f"exponent must be nonnegative, got {n}")
-    return ALPHA**n

@@ -14,15 +14,19 @@ module computes it exactly and certifies the minimal index from which the
 norm sign never changes again, by an explicit domination horizon rather
 than a limit argument.
 
-Certification runs on Python integers.  The horizon search clears the
-denominators of both sides once and then works in Z[sqrt 5], where one step
-multiplies the growing side by 3 + sqrt 5 and the bounded side by 2 (that
-is, by alpha^2 = (3 + sqrt 5)/2), and the sign of x + y*sqrt 5 comes from
+Certification runs on Python integers, on one route: the threshold of F(n)
+is the seeded threshold of H(n; p, q) at (p, q) = (0, 1).  With
+beta_i = n_i/d_i, the growth constants scaled by d1*d2 are integers in
+Z[sqrt 5], and the horizon inequality scaled by the fixed factor 16*d1*d2
+compares two elements of Z[sqrt 5]; one step multiplies the growing side
+by 3 + sqrt 5 and the bounded side by 2 (that is, by
+alpha^2 = (3 + sqrt 5)/2), and the sign of x + y*sqrt 5 comes from
 comparing x^2 with 5*y^2.  The direct checks below the horizon walk the
-coefficient window of F(m) or H(m; p, q) by the integer recurrence and take
-the sign of d1*d2*n(.) for beta_i = n_i/d_i, an integer of the same sign as
-the norm.  The closed forms stay public as the paper's identities; the test
-suite checks them against the direct norms.
+coefficient window of H(m; p, q) by the integer recurrence and take the
+sign of d1*d2*n(.), an integer of the same sign as the norm.  E is never
+zero for rational beta_i (see :func:`_certify`).  The closed forms stay
+public as the paper's identities; the test suite checks them against the
+direct norms.
 
 Horadam quaternions H(n; p, q) carry coefficients (h(n), ..., h(n+3)) of the
 seeded sequence h(0) = p, h(1) = q.  For n >= 1 this equals
@@ -35,10 +39,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import BelowThresholdError, IndeterminateError
-from .exactnum import ALPHA, BETA, QSqrt5, Rat
+from .exactnum import ALPHA, BETA, QSqrt5, Rat, _sign_z5
 from .fib import HoradamParams, fib_pair, horadam
 from .quat import AlgebraParams, Quaternion
 
@@ -153,20 +156,37 @@ def horadam_quaternion(n: int, p: int, q: int, params: AlgebraParams) -> Quatern
     return Quaternion(params, *(horadam(n + j, seeds) for j in range(4)))
 
 
-def growth_profile(params: AlgebraParams) -> GrowthProfile:
-    """All growth constants for H(beta1, beta2).
+def _growth_integers(
+    params: AlgebraParams,
+) -> tuple[tuple[int, int, int, int], int, int, int]:
+    """Integer growth constants for beta_i = n_i/d_i: the norm-form
+    coefficients c = (d1*d2, n1*d2, n2*d1, n1*n2) = d1*d2*(1, b1, b2, b1*b2),
+    and x, y, z with 2*d1*d2*S+ = x + y*sqrt 5 and d1*d2*S0 = z.
 
-    S+ = 1 + b1*a^2 + b2*a^4 + b1*b2*a^6 at the golden ratio a is built as
-    u + v*a with u = 1 + b1 + 2 b2 + 5 b1 b2, v = b1 + 3 b2 + 8 b1 b2; S-,
-    the same polynomial at beta, is its Galois conjugate.  The test suite
-    proves both equal to the polynomial for every (b1, b2).
+    S+ = u + v*alpha with u = 1 + b1 + 2 b2 + 5 b1 b2, v = b1 + 3 b2 + 8 b1 b2,
+    so x = 2c0 + 3c1 + 7c2 + 18c3 and y = c1 + 3c2 + 8c3; S- is the Galois
+    conjugate x - y*sqrt 5 on the same scale.  Every constant is linear in c,
+    hence bilinear in (b1, b2) after dividing by d1*d2; the test suite proves
+    each equal to its defining polynomial for every (b1, b2).
     """
-    b1, b2 = params.beta1, params.beta2
-    u = 1 + b1 + 2 * b2 + 5 * b1 * b2
-    v = b1 + 3 * b2 + 8 * b1 * b2
-    dominant = QSqrt5(u + v / 2, v / 2)
-    oscillating = QSqrt5.from_rat(1 - b1 + b2 - b1 * b2)
-    return GrowthProfile(dominant, dominant.conjugate(), oscillating, dominant / 5)
+    n1, d1 = params.beta1.numerator, params.beta1.denominator
+    n2, d2 = params.beta2.numerator, params.beta2.denominator
+    c = c0, c1, c2, c3 = d1 * d2, n1 * d2, n2 * d1, n1 * n2
+    u = c0 + c1 + 2 * c2 + 5 * c3
+    v = c1 + 3 * c2 + 8 * c3
+    return c, 2 * u + v, v, c0 - c1 + c2 - c3
+
+
+def growth_profile(params: AlgebraParams) -> GrowthProfile:
+    """All growth constants for H(beta1, beta2), read off the integers of
+    :func:`_growth_integers` (S+ = 1 + b1*a^2 + b2*a^4 + b1*b2*a^6 at the
+    golden ratio a, S- at its conjugate, S0 = 1 - b1 + b2 - b1*b2)."""
+    c, x, y, z = _growth_integers(params)
+    den = c[0]
+    dominant = QSqrt5(Fraction(x, 2 * den), Fraction(y, 2 * den))
+    discriminant = QSqrt5(Fraction(x, 10 * den), Fraction(y, 10 * den))
+    oscillating = QSqrt5.from_rat(Fraction(z, den))
+    return GrowthProfile(dominant, dominant.conjugate(), oscillating, discriminant)
 
 
 def growth_discriminant(params: AlgebraParams) -> QSqrt5:
@@ -219,38 +239,49 @@ def horadam_norm_closed_form(n: int, params: AlgebraParams, p: int, q: int) -> R
     return value.as_rat()
 
 
-def _sign_z5(x: int, y: int) -> int:
-    """Sign of x + y*sqrt(5) for integers x, y."""
-    sx = (x > 0) - (x < 0)
-    sy = (y > 0) - (y < 0)
-    if sx == sy or sy == 0:
-        return sx
-    if sx == 0:
-        return sy
-    return sx if x * x > 5 * y * y else -sx
+def _certify(params: AlgebraParams, p: int, q: int) -> ThresholdCertificate:
+    """Certified minimal threshold for the norms of H(n; p, q); seeds (0, 1)
+    give F(n) itself.  Pure integer arithmetic throughout.
 
+    With A = p + q*alpha, B = p + q*beta, cross = p^2 + pq - q^2 and
+    |beta^(2m-2)| <= alpha^2 for m >= 0, the sign of n(H(m)) is frozen from
+    the least N with
 
-def _certify(
-    params: AlgebraParams,
-    seeds: tuple[int, int],
-    limit_sign: int,
-    growth_abs: QSqrt5,
-    bounded_abs: QSqrt5,
-) -> ThresholdCertificate:
-    # horizon: least N with growth_abs * alpha^(2N) > bounded_abs; past it the
-    # growing term dominates every bounded one, freezing the sign.  Scaled by
-    # the common denominator den and by 2^N, the N-th comparison is
-    # gx + gy*sqrt5 > bx + by*sqrt5 with gx + gy*sqrt5 = den*growth_abs*(3+sqrt5)^N
-    # and bx + by*sqrt5 = den*bounded_abs*2^N.
-    den = lcm(
-        growth_abs.a.denominator,
-        growth_abs.b.denominator,
-        bounded_abs.a.denominator,
-        bounded_abs.b.denominator,
-    )
+        |A^2 S+| * alpha^(2N-2) > |B^2 S-| * alpha^2 + 2|S0 * cross|,
+
+    checked in Z[sqrt 5] after scaling by 16*d1*d2: the growing side is
+    |(2A)^2 * (2 d1 d2 S+) * (3 - sqrt 5)|, the bounded side
+    |(2B)^2 * (2 d1 d2 S-) * (3 + sqrt 5)| + 32|d1 d2 S0 * cross|, and each
+    step multiplies the first by 3 + sqrt 5 and the second by 2.  At (0, 1),
+    A = alpha and B = beta, so (alpha*beta)^2 = 1 and cross = -1: the bound
+    is exactly |S+| * alpha^(2N) > |S-| + 2|S0|.  Indices 0..N are then
+    checked one by one on the integer d1*d2*n(H(m)).
+
+    The limit sign is sign(A^2 S+).  S+ = u + v*alpha with rational u, v
+    vanishes only if u = v = 0, which forces b2^2 + 7*b2 + 1 = 0, a
+    quadratic with no rational root; so only seeds (0, 0), where A = 0,
+    reach the zero check.
+    """
+    HoradamParams(p, q)
+    c, x, y, z = _growth_integers(params)
+    # (2A)^2 * (2 d1 d2 S+) = gx + gy*sqrt5; its conjugate is the B side
+    a, b = 2 * p + q, q
+    ax, ay = a * a + 5 * b * b, 2 * a * b
+    gx, gy = ax * x + 5 * ay * y, ax * y + ay * x
+    limit_sign = _sign_z5(gx, gy)
+    if limit_sign == 0:
+        raise IndeterminateError(
+            f"seeded growth discriminant is zero for {params.label()} "
+            f"with seeds (p, q) = ({p}, {q})"
+        )
+    bounded_sign = _sign_z5(gx, -gy)
+    cross = p * p + p * q - q * q
+    # times 3 - sqrt5 on the growing side and 3 + sqrt5 on the bounded side
     gx, gy, bx, by = (
-        r.numerator * (den // r.denominator)
-        for r in (growth_abs.a, growth_abs.b, bounded_abs.a, bounded_abs.b)
+        limit_sign * (3 * gx - 5 * gy),
+        limit_sign * (3 * gy - gx),
+        bounded_sign * (3 * gx - 5 * gy) + 32 * abs(z * cross),
+        bounded_sign * (gx - 3 * gy),
     )
     horizon = 0
     while _sign_z5(gx - bx, gy - by) <= 0:
@@ -259,10 +290,7 @@ def _certify(
         bx, by = 2 * bx, 2 * by
     # direct checks: d1*d2*n(H(m)) over the window (h(m), ..., h(m+3)) of the
     # sequence seeded by (p, q), advanced by h(k+4) = h(k+2) + h(k+3)
-    n1, d1 = params.beta1.numerator, params.beta1.denominator
-    n2, d2 = params.beta2.numerator, params.beta2.denominator
-    c0, c1, c2, c3 = d1 * d2, n1 * d2, n2 * d1, n1 * n2
-    p, q = seeds
+    c0, c1, c2, c3 = c
     h0, h1, h2, h3 = p, q, p + q, p + 2 * q
     n_prime = 0
     for m in range(horizon + 1):
@@ -276,22 +304,13 @@ def _certify(
 def invertibility_threshold(params: AlgebraParams) -> ThresholdCertificate:
     """Certified minimal n' with sign(norm(F(m))) = sign(E) for all m >= n'.
 
-    The horizon N satisfies |S+| * alpha^(2N) > |S-| + 2|S0|, which bounds
+    F(n) = H(n; 0, 1), so this is the seeded certificate at (p, q) = (0, 1):
+    the horizon N satisfies |S+| * alpha^(2N) > |S-| + 2|S0|, which bounds
     the decaying and oscillating terms for every m >= N (|beta^(2m)| <= 1);
-    indices up to the horizon are then checked one by one.
+    indices up to the horizon are then checked one by one.  E is never zero
+    for rational parameters (see :func:`_certify`).
     """
-    return _threshold(params, growth_profile(params))
-
-
-def _threshold(params: AlgebraParams, profile: GrowthProfile) -> ThresholdCertificate:
-    limit_sign = profile.discriminant.sign()
-    if limit_sign == 0:
-        raise IndeterminateError(
-            f"growth discriminant is zero for {params.label()}; "
-            "no stable norm sign exists"
-        )
-    bound = abs(profile.conjugate) + abs(profile.oscillating) * 2
-    return _certify(params, (0, 1), limit_sign, abs(profile.dominant), bound)
+    return _certify(params, 0, 1)
 
 
 def horadam_invertibility_threshold(
@@ -302,29 +321,10 @@ def horadam_invertibility_threshold(
     Here the bounded terms satisfy |beta^(2m-2)| <= alpha^2 for m >= 0, so
     the horizon inequality reads
     |A^2 S+| * alpha^(2N-2) > |B^2 S-| * alpha^2 + 2|AB * S0| with
-    A = p + q*alpha, B = p + q*beta.
+    A = p + q*alpha, B = p + q*beta.  Seeds (0, 0) raise
+    :class:`IndeterminateError`; all other seeds certify.
     """
-    return _seeded_threshold(params, growth_profile(params), p, q)
-
-
-def _seeded_threshold(
-    params: AlgebraParams, profile: GrowthProfile, p: int, q: int
-) -> ThresholdCertificate:
-    limit_sign = _seeded_discriminant(profile, p, q).sign()
-    if limit_sign == 0:
-        raise IndeterminateError(
-            f"seeded growth discriminant is zero for {params.label()} "
-            f"with seeds (p, q) = ({p}, {q})"
-        )
-    alpha_sq = ALPHA * ALPHA
-    a = ALPHA * q + p
-    b = BETA * q + p
-    cross = Fraction(p * p + p * q - q * q)
-    growth_abs = abs(a * a * profile.dominant) / alpha_sq
-    bound = abs(b * b * profile.conjugate) * alpha_sq + abs(
-        profile.oscillating * cross
-    ) * 2
-    return _certify(params, (p, q), limit_sign, growth_abs, bound)
+    return _certify(params, p, q)
 
 
 def _basis_norms(n: int, params: AlgebraParams) -> tuple[Fraction, Fraction]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from fibclifford.exactnum import QSqrt5
+from fibclifford.exactnum import ALPHA, BETA, QSqrt5
 from fibclifford.quat import AlgebraParams, Quaternion
 
 
@@ -69,6 +69,43 @@ def sign_by_interval(x: QSqrt5) -> int:
             lo = mid
         else:
             hi = mid
+
+
+def reference_certificate(
+    b1: Fraction, b2: Fraction, p: int, q: int
+) -> tuple[int, int, int]:
+    """(n_prime, horizon, limit_sign) of the threshold of H(n; p, q) in
+    H(b1, b2), by the closed-form bound in Q(sqrt 5): the horizon is the
+    least N with |A^2 S+| * alpha^(2N-2) > |B^2 S-| * alpha^2 + 2|AB * S0|
+    (A = p + q*alpha, B = p + q*beta), each comparison decided by
+    ``sign_by_interval``, and the indices 0..N are checked on the rational
+    norms of windows of ``horadam_naive``."""
+    s_plus = weighted_even_powers(b1, b2, ALPHA)
+    s_minus = weighted_even_powers(b1, b2, BETA)
+    s_zero = 1 - b1 + b2 - b1 * b2
+    a = ALPHA * q + p
+    b = BETA * q + p
+    limit_sign = sign_by_interval(a * a * s_plus)
+    assert limit_sign != 0, "seeds (0, 0)"
+
+    def magnitude(x: QSqrt5) -> QSqrt5:
+        return x if sign_by_interval(x) >= 0 else -x
+
+    alpha_sq = ALPHA * ALPHA
+    growing = magnitude(a * a * s_plus) / alpha_sq
+    bound = magnitude(b * b * s_minus) * alpha_sq + magnitude(a * b * s_zero) * 2
+    horizon = 0
+    while sign_by_interval(growing - bound) <= 0:
+        horizon += 1
+        growing = growing * alpha_sq
+    h = [horadam_naive(k, p, q) for k in range(horizon + 4)]
+    n_prime = 0
+    for m in range(horizon + 1):
+        x1, x2, x3, x4 = h[m : m + 4]
+        norm = x1 * x1 + b1 * x2 * x2 + b2 * x3 * x3 + b1 * b2 * x4 * x4
+        if norm * limit_sign <= 0:
+            n_prime = m + 1
+    return n_prime, horizon, limit_sign
 
 
 def blade_product_rewrite(

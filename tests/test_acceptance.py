@@ -16,7 +16,6 @@ from fibclifford.clifford import (
     DiagonalForm,
     blade_product,
     classify,
-    dimension,
     quaternion_isomorphism,
 )
 from fibclifford.exactnum import QSqrt5
@@ -166,7 +165,7 @@ def test_threshold_certification():
 def test_clifford_engine():
     started = time.perf_counter()
     for rank in range(9):
-        assert dimension(DiagonalForm((-1,) * rank)) == 2**rank
+        assert DiagonalForm((-1,) * rank).dim == 2**rank
 
     squares = (Fraction(2), Fraction(-1, 2), Fraction(5, 3), Fraction(-7))
     for rank in range(1, 5):

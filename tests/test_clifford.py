@@ -13,7 +13,6 @@ from fibclifford.clifford import (
     blade_name,
     blade_product,
     classify,
-    dimension,
     fibonacci_form,
     quaternion_isomorphism,
     rank2_class,
@@ -46,11 +45,11 @@ def test_rank_cap():
 
 
 def test_dimension_is_two_to_the_rank():
-    assert dimension(DiagonalForm(())) == 1
-    assert dimension(DiagonalForm((-1,))) == 2
-    assert dimension(DiagonalForm((-1, -1))) == 4
+    assert DiagonalForm(()).dim == 1
+    assert DiagonalForm((-1,)).dim == 2
+    assert DiagonalForm((-1, -1)).dim == 4
     for rank in range(9):
-        assert dimension(DiagonalForm((-1,) * rank)) == 2**rank
+        assert DiagonalForm((-1,) * rank).dim == 2**rank
 
 
 # -- blade products ---------------------------------------------------------------

@@ -16,7 +16,6 @@ from fibclifford.exactnum import (
     SQRT5,
     ZERO,
     QSqrt5,
-    alpha_pow,
     format_rat,
     parse_int,
     parse_rat,
@@ -202,31 +201,26 @@ def test_conjugate_multiplies_to_rational(x):
 
 
 def test_alpha_pow_base_cases():
-    assert alpha_pow(0) == ONE
-    assert alpha_pow(2) == QSqrt5(Fraction(3, 2), Fraction(1, 2))
+    assert ALPHA**0 == ONE
+    assert ALPHA**2 == QSqrt5(Fraction(3, 2), Fraction(1, 2))
 
 
 def test_alpha_pow_ten_matches_recurrence_oracle():
     # L(10) = 123 and f(10) = 55 by the plain recurrences
     assert lucas_naive(10) == 123 and fib_naive(10) == 55
-    assert alpha_pow(10) == QSqrt5(Fraction(123, 2), Fraction(55, 2))
+    assert ALPHA**10 == QSqrt5(Fraction(123, 2), Fraction(55, 2))
 
 
 def test_alpha_pow_matches_repeated_multiplication():
     acc = ONE
     for n in range(40):
-        assert alpha_pow(n) == acc
+        assert ALPHA**n == acc
         acc = acc * ALPHA
 
 
 @given(st.integers(min_value=0, max_value=64), st.integers(min_value=0, max_value=64))
 def test_alpha_pow_is_multiplicative(m, n):
-    assert alpha_pow(m + n) == alpha_pow(m) * alpha_pow(n)
-
-
-def test_alpha_pow_rejects_negative():
-    with pytest.raises(ValueError):
-        alpha_pow(-1)
+    assert ALPHA ** (m + n) == ALPHA**m * ALPHA**n
 
 
 def test_negative_power_via_inverse():

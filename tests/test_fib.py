@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibclifford.exactnum import QSqrt5, alpha_pow
+from fibclifford.exactnum import ALPHA, QSqrt5
 from fibclifford.fib import HoradamParams, binet, fib, fib_pair, horadam, lucas
 from oracles import fib_naive, horadam_naive, lucas_naive
 
@@ -104,4 +104,4 @@ def test_binet_embeds_fib():
 def test_alpha_pow_is_half_lucas_plus_fib_root5():
     for n in range(201):
         expected = QSqrt5(Fraction(lucas(n), 2), Fraction(fib(n), 2))
-        assert alpha_pow(n) == expected
+        assert ALPHA**n == expected

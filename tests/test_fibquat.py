@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibclifford.errors import BelowThresholdError, IndeterminateError
-from fibclifford.exactnum import ALPHA, QSqrt5
+from fibclifford.exactnum import ALPHA, QSqrt5, _sign_z5
 from fibclifford.fibquat import (
     FibSpaceVector,
-    _sign_z5,
+    _certify,
     bilinear_form,
     fibonacci_quaternion,
     gram_matrix,
@@ -27,7 +27,8 @@ from fibclifford.fibquat import (
 )
 from fibclifford.quat import AlgebraParams
 from conftest import CLASS_FIXTURES
-from oracles import fib_naive, horadam_naive, sign_by_interval
+from oracles import fib_naive, horadam_naive, reference_certificate, sign_by_interval
+from test_threshold_ladder import ladder_params
 
 H1M1 = AlgebraParams(1, -1)
 HM2M3 = AlgebraParams(-2, -3)
@@ -247,6 +248,33 @@ big_ints = st.integers(-(10**30), 10**30)
 def test_integer_sign_in_z_sqrt5_matches_interval_oracle(xy):
     x, y = xy
     assert _sign_z5(x, y) == sign_by_interval(QSqrt5(x, y))
+
+
+nonzero_30_digit = st.integers(1, 10**30)
+rationals_30_digit = st.builds(
+    lambda n, d, negative: Fraction(-n if negative else n, d),
+    nonzero_30_digit,
+    nonzero_30_digit,
+    st.booleans(),
+)
+algebras = st.one_of(
+    st.builds(AlgebraParams, rationals_30_digit, rationals_30_digit),
+    st.builds(ladder_params, st.integers(1, 30), st.booleans()),  # next to E = 0
+)
+seed_pairs = st.one_of(
+    st.just((0, 1)),
+    st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+    st.tuples(st.integers(-(10**20), 10**20), st.integers(-(10**20), 10**20)),
+).filter(lambda seeds: seeds != (0, 0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(algebras, seed_pairs)
+def test_integer_certificate_matches_closed_form_reference(params, seeds):
+    cert = _certify(params, *seeds)
+    assert (cert.n_prime, cert.horizon, cert.limit_sign) == reference_certificate(
+        params.beta1, params.beta2, *seeds
+    )
 
 
 def test_degenerate_seeds_are_indeterminate():

@@ -24,7 +24,7 @@ import pytest
 
 from fibclifford import clifford, fibquat, quat
 from fibclifford.cli import run_selftest
-from fibclifford.exactnum import ALPHA, BETA
+from fibclifford.exactnum import ALPHA, BETA, QSqrt5
 from oracles import weighted_even_powers
 
 PAIR_GRID = (Fraction(2), Fraction(-1, 3))
@@ -41,6 +41,8 @@ def prove_growth_profile() -> None:
             profile = fibquat.growth_profile(quat.AlgebraParams(b1, b2))
             assert profile.dominant == weighted_even_powers(b1, b2, ALPHA), (b1, b2)
             assert profile.conjugate == weighted_even_powers(b1, b2, BETA), (b1, b2)
+            oscillating = QSqrt5.from_rat(1 - b1 + b2 - b1 * b2)
+            assert profile.oscillating == oscillating, (b1, b2)
 
 
 def prove_blade_table() -> None:
@@ -73,13 +75,15 @@ def prove_scaling() -> None:
 
 
 def test_growth_profile_is_the_defining_polynomial_everywhere():
-    """growth_profile's S+ = u + v*alpha and S- = its Galois conjugate equal
-    1 + b1*x^2 + b2*x^4 + b1*b2*x^6 at x = alpha and x = beta, for all b1, b2.
+    """growth_profile's S+, S- and S0 equal 1 + b1*x^2 + b2*x^4 + b1*b2*x^6
+    at x = alpha and x = beta, and 1 - b1 + b2 - b1*b2, for all b1, b2.
 
-    Both sides are polynomials in (b1, b2) with coefficients in Q(sqrt 5),
-    of degree <= 1 in each: u = 1 + b1 + 2 b2 + 5 b1 b2 and
-    v = b1 + 3 b2 + 8 b1 b2 are bilinear, and so is the defining polynomial.
-    A 2x2 grid of distinct nonzero values therefore proves each equality.
+    growth_profile divides the integers of fibquat._growth_integers by
+    multiples of d1*d2.  Those integers are fixed linear combinations of
+    c = (d1*d2, n1*d2, n2*d1, n1*n2), and c/(d1*d2) = (1, b1, b2, b1*b2),
+    so each constant is a polynomial in (b1, b2) with coefficients in
+    Q(sqrt 5) of degree <= 1 in each, like the defining polynomials.  A 2x2
+    grid of distinct nonzero values therefore proves each equality.
     """
     prove_growth_profile()
 
@@ -155,15 +159,17 @@ def test_flipped_blade_product_fails_the_proof_and_selftest(monkeypatch):
 @pytest.mark.parametrize(
     "old,new",
     [
-        ("u = 1 + b1 + 2 * b2", "u = 2 + b1 + 2 * b2"),
-        ("5 * b1 * b2", "6 * b1 * b2"),
-        ("v = b1 + 3 * b2", "v = b1 + 4 * b2"),
-        ("8 * b1 * b2", "7 * b1 * b2"),
+        ("u = c0 + c1 + 2 * c2", "u = 2 * c0 + c1 + 2 * c2"),
+        ("5 * c3", "6 * c3"),
+        ("v = c1 + 3 * c2", "v = c1 + 4 * c2"),
+        ("8 * c3", "7 * c3"),
+        ("c0 - c1 + c2", "c0 + c1 + c2"),
+        ("c2 - c3", "c2 + c3"),
     ],
-    ids=["u-constant", "u-b1b2", "v-b2", "v-b1b2"],
+    ids=["u-constant", "u-b1b2", "v-b2", "v-b1b2", "s0-b1", "s0-b1b2"],
 )
 def test_perturbed_growth_coefficient_fails_the_proof_and_selftest(monkeypatch, old, new):
-    _mutate(monkeypatch, fibquat, "growth_profile", old, new)
+    _mutate(monkeypatch, fibquat, "_growth_integers", old, new)
     with pytest.raises(AssertionError):
         prove_growth_profile()
     assert not _multiplication_table_passes()
