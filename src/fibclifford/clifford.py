@@ -19,9 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm, prod
 
 from .errors import DegenerateFormError, MixedFormsError
-from .exactnum import QSqrt5, Rat, format_rat
+from .exactnum import QSqrt5, Rat, _to_rat, format_rat
 from .fibquat import (
     ThresholdCertificate,
     _basis_norms,
@@ -41,7 +42,7 @@ class DiagonalForm:
     squares: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        squares = tuple(Fraction(s) for s in self.squares)
+        squares = tuple(map(_to_rat, self.squares))
         if len(squares) > MAX_GENERATORS:
             raise ValueError(
                 f"at most {MAX_GENERATORS} generators supported, got {len(squares)}"
@@ -74,6 +75,23 @@ def blade_name(mask: int) -> str:
     return "".join(f"e{i + 1}" for i in range(mask.bit_length()) if mask >> i & 1)
 
 
+def _reorder_parity(mask: int) -> int:
+    """XOR of ``mask >> k`` over k >= 1: bit j is the parity of the number of
+    generators of ``mask`` above generator j.
+
+    Moving the generators of a blade ``b`` leftward past those of ``mask``
+    into sorted order takes one transposition per pair (i in mask, j in b)
+    with i > j, so ``e_mask * e_b`` has the sign ``(-1)**popcount(P & b)``
+    with ``P = _reorder_parity(mask)``.
+    """
+    parity = 0
+    mask >>= 1
+    while mask:
+        parity ^= mask
+        mask >>= 1
+    return parity
+
+
 def blade_product(
     mask_a: int, mask_b: int, form: DiagonalForm
 ) -> tuple[Fraction, int]:
@@ -86,18 +104,58 @@ def blade_product(
     dim = form.dim
     if not (0 <= mask_a < dim and 0 <= mask_b < dim):
         raise ValueError(f"blade mask out of range for rank {form.rank}")
-    swaps = 0
-    shifted = mask_a >> 1
-    while shifted:
-        swaps += (shifted & mask_b).bit_count()
-        shifted >>= 1
-    coeff = Fraction(-1 if swaps & 1 else 1)
+    coeff = Fraction(-1 if (_reorder_parity(mask_a) & mask_b).bit_count() & 1 else 1)
     common = mask_a & mask_b
     while common:
         low = common & -common
         coeff *= form[low.bit_length() - 1]
         common ^= low
     return coeff, mask_a ^ mask_b
+
+
+def _integer_support(coeffs: tuple[Fraction, ...]) -> tuple[list[tuple[int, int]], int]:
+    """The nonzero blades of an element as (mask, integer) pairs, scaled by
+    the lcm ``d`` of their denominators, and ``d``."""
+    support = [(mask, c) for mask, c in enumerate(coeffs) if c]
+    d = lcm(*(c.denominator for _, c in support))
+    return [(mask, c.numerator * (d // c.denominator)) for mask, c in support], d
+
+
+def _product(
+    form: DiagonalForm, x: tuple[Fraction, ...], y: tuple[Fraction, ...]
+) -> tuple[Fraction, ...]:
+    """Coefficients of the product of two elements, computed on integers
+    over their nonzero blades.
+
+    Each operand is scaled to integers by the lcm of its denominators
+    (dx, dy).  With squares s_k = n_k/d_k and T = prod d_k, the generators
+    c common to two blades contract to M(c)/T, where
+    M(c) = prod_{k in c} n_k * prod_{k not in c} d_k is an integer,
+    memoised per c for this call.  Every term lands on an integer slot,
+    and the slots are divided once by dx*dy*T at the end.
+    """
+    xs, dx = _integer_support(x)
+    ys, dy = _integer_support(y)
+    squares = [(s.numerator, s.denominator) for s in form.squares]
+    metric: dict[int, int] = {}
+    acc = [0] * form.dim
+    for i, a in xs:
+        parity = _reorder_parity(i)
+        for j, b in ys:
+            common = i & j
+            m = metric.get(common)
+            if m is None:
+                m = metric[common] = prod(
+                    n if common >> k & 1 else d for k, (n, d) in enumerate(squares)
+                )
+            term = a * b * m
+            if (parity & j).bit_count() & 1:
+                acc[i ^ j] -= term
+            else:
+                acc[i ^ j] += term
+    den = dx * dy * prod(d for _, d in squares)
+    zero = Fraction(0)
+    return tuple(Fraction(v, den) if v else zero for v in acc)
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,7 +166,7 @@ class CliffordElement:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        coeffs = tuple(Fraction(c) for c in self.coeffs)
+        coeffs = tuple(map(_to_rat, self.coeffs))
         if len(coeffs) != self.form.dim:
             raise ValueError(
                 f"need {self.form.dim} blade coefficients, got {len(coeffs)}"
@@ -134,7 +192,7 @@ class CliffordElement:
         if not 0 <= mask < form.dim:
             raise ValueError(f"blade mask out of range for rank {form.rank}")
         coeffs = [Fraction(0)] * form.dim
-        coeffs[mask] = Fraction(coeff)
+        coeffs[mask] = coeff
         return cls(form, tuple(coeffs))
 
     @classmethod
@@ -166,21 +224,12 @@ class CliffordElement:
 
     def __mul__(self, other: CliffordElement | Rat | int) -> CliffordElement:
         if isinstance(other, (int, Fraction)):
-            s = Fraction(other)
+            s = _to_rat(other)
             return CliffordElement(self.form, tuple(c * s for c in self.coeffs))
         if not isinstance(other, CliffordElement):
             return NotImplemented
         self._require_same_form(other)
-        out = [Fraction(0)] * self.form.dim
-        for i, ci in enumerate(self.coeffs):
-            if not ci:
-                continue
-            for j, cj in enumerate(other.coeffs):
-                if not cj:
-                    continue
-                coeff, mask = blade_product(i, j, self.form)
-                out[mask] += ci * cj * coeff
-        return CliffordElement(self.form, tuple(out))
+        return CliffordElement(self.form, _product(self.form, self.coeffs, other.coeffs))
 
     def __rmul__(self, other: Rat | int) -> CliffordElement:
         if isinstance(other, (int, Fraction)):

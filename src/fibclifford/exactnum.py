@@ -29,6 +29,18 @@ _RAT_PATTERN = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 MAX_LITERAL_DIGITS = 4000
 
 
+def _to_rat(value: Rat | int) -> Rat:
+    """``value`` as a ``Fraction``: a ``Fraction`` passes unchanged, an ``int``
+    is wrapped, and anything else (``float``, ``str``, ``Decimal``) is a
+    ``TypeError``, so no binary float reaches an exact value."""
+    # int first: isinstance against Fraction, an ABC, is slow for non-Fractions
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, Fraction):
+        return value
+    raise TypeError(f"expected an int or Fraction, got {type(value).__name__}")
+
+
 def _check_digits(s: str) -> None:
     digits = max(len(part) for part in s.lstrip("-").split("/"))
     if digits > MAX_LITERAL_DIGITS:
@@ -102,12 +114,12 @@ class QSqrt5:
     b: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+        object.__setattr__(self, "a", _to_rat(self.a))
+        object.__setattr__(self, "b", _to_rat(self.b))
 
     @classmethod
     def from_rat(cls, value: Rat | int) -> QSqrt5:
-        return cls(Fraction(value), Fraction(0))
+        return cls(value, Fraction(0))
 
     # -- ring / field operations -------------------------------------------
 
@@ -116,7 +128,7 @@ class QSqrt5:
         if isinstance(other, QSqrt5):
             return other
         if isinstance(other, (int, Fraction)):
-            return QSqrt5(Fraction(other), Fraction(0))
+            return QSqrt5(other, Fraction(0))
         return None
 
     def __add__(self, other: QSqrt5 | Rat | int) -> QSqrt5:

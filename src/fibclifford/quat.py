@@ -29,7 +29,7 @@ from .errors import (
     NotInvertibleError,
     ZeroScaleError,
 )
-from .exactnum import Rat, format_rat
+from .exactnum import Rat, _to_rat, format_rat
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,7 +40,7 @@ class AlgebraParams:
     beta2: Fraction
 
     def __post_init__(self) -> None:
-        b1, b2 = Fraction(self.beta1), Fraction(self.beta2)
+        b1, b2 = _to_rat(self.beta1), _to_rat(self.beta2)
         if b1 == 0 or b2 == 0:
             raise DegenerateAlgebraError(
                 "algebra parameters must be nonzero "
@@ -65,11 +65,11 @@ class Quaternion:
 
     def __post_init__(self) -> None:
         for name in ("a1", "a2", "a3", "a4"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+            object.__setattr__(self, name, _to_rat(getattr(self, name)))
 
     @classmethod
     def from_coeffs(cls, params: AlgebraParams, coeffs) -> Quaternion:
-        c = tuple(Fraction(x) for x in coeffs)
+        c = tuple(map(_to_rat, coeffs))
         if len(c) != 4:
             raise ValueError(f"need exactly 4 coefficients, got {len(c)}")
         return cls(params, *c)
@@ -122,7 +122,7 @@ class Quaternion:
 
     def __mul__(self, other: Quaternion | Rat | int) -> Quaternion:
         if isinstance(other, (int, Fraction)):
-            s = Fraction(other)
+            s = _to_rat(other)
             return Quaternion(
                 self.params, self.a1 * s, self.a2 * s, self.a3 * s, self.a4 * s
             )
@@ -247,7 +247,7 @@ def scale_isomorphism(
     test suite proves it multiplicative for every nonzero b1, b2, x, y; it
     is not re-checked per call.
     """
-    x, y = Fraction(x), Fraction(y)
+    x, y = _to_rat(x), _to_rat(y)
     if x == 0 or y == 0:
         raise ZeroScaleError("scale factors must be nonzero")
     target = AlgebraParams(x * x * params.beta1, y * y * params.beta2)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from fibclifford.clifford import CliffordElement
 from fibclifford.exactnum import ALPHA, BETA, QSqrt5
 from fibclifford.quat import AlgebraParams, Quaternion
 
@@ -137,6 +138,24 @@ def blade_product_rewrite(
     for i in word:
         mask |= 1 << i
     return coeff, mask
+
+
+def clifford_mul_reference(x: CliffordElement, y: CliffordElement) -> CliffordElement:
+    """Bilinear extension of ``blade_product_rewrite``: every pair of
+    nonzero blades is rewritten word by word and added in ``Fraction``s;
+    independent of the sign rule and integer scaling in the package."""
+    assert x.form == y.form
+    squares = x.form.squares
+    out = [Fraction(0)] * x.form.dim
+    for i, xi in enumerate(x.coeffs):
+        if not xi:
+            continue
+        for j, yj in enumerate(y.coeffs):
+            if not yj:
+                continue
+            coeff, mask = blade_product_rewrite(i, j, squares)
+            out[mask] += xi * yj * coeff
+    return CliffordElement(x.form, tuple(out))
 
 
 # Basis products of H(beta1, beta2), straight from the defining table.

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,13 +22,17 @@ from fibclifford.errors import DegenerateFormError, MixedFormsError
 from fibclifford.fibquat import growth_discriminant
 from fibclifford.quat import AlgebraParams, is_division_algebra
 from conftest import CLASS_FIXTURES
-from oracles import blade_product_rewrite
+from oracles import blade_product_rewrite, clifford_mul_reference
 
 NEG_NEG = DiagonalForm((-1, -1))
 POS_POS = DiagonalForm((1, 1))
 
 nonzero_rationals = st.fractions(min_value=-12, max_value=12, max_denominator=8).filter(
     lambda r: r != 0
+)
+# numerators and denominators of up to 30 digits
+wide_rationals = st.builds(
+    Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**30)
 )
 
 
@@ -133,6 +138,49 @@ def test_multiplication_associative_rank3(data):
     ]
     x, y, z = triple
     assert (x * y) * z == x * (y * z)
+
+
+def assert_product_matches_reference(x: CliffordElement, y: CliffordElement) -> None:
+    assert x * y == clifford_mul_reference(x, y)
+
+
+def seeded_dense_pair(rank: int, seed: int) -> tuple[CliffordElement, CliffordElement]:
+    """Two elements with every blade nonzero, over squares of both signs
+    with denominators."""
+    rng = random.Random(seed)
+
+    def rational() -> Fraction:
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**6), rng.randint(1, 10**6))
+
+    form = DiagonalForm(tuple(rational() for _ in range(rank)))
+    x, y = (CliffordElement(form, tuple(rational() for _ in range(form.dim))) for _ in range(2))
+    return x, y
+
+
+@st.composite
+def element_pairs(draw) -> tuple[CliffordElement, CliffordElement]:
+    rank = draw(st.integers(0, 6))
+    form = DiagonalForm(tuple(draw(nonzero_rationals) for _ in range(rank)))
+
+    def element() -> CliffordElement:
+        # a sparse support, or every blade with some of them zero
+        support = draw(st.sets(st.integers(0, form.dim - 1)) | st.just(range(form.dim)))
+        coeffs = [Fraction(0)] * form.dim
+        for mask in support:
+            coeffs[mask] = draw(st.just(Fraction(0)) | wide_rationals)
+        return CliffordElement(form, tuple(coeffs))
+
+    return element(), element()
+
+
+@settings(max_examples=80, deadline=None)
+@given(element_pairs())
+def test_product_matches_word_rewriting_reference(pair):
+    assert_product_matches_reference(*pair)
+
+
+def test_dense_rank7_product_matches_word_rewriting_reference():
+    assert_product_matches_reference(*seeded_dense_pair(7, seed=7))
 
 
 def test_element_str():

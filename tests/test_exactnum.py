@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fibclifford.clifford import CliffordElement, DiagonalForm
 from fibclifford.errors import LiteralTooLongError
 from fibclifford.exactnum import (
     ALPHA,
@@ -16,14 +18,65 @@ from fibclifford.exactnum import (
     SQRT5,
     ZERO,
     QSqrt5,
+    _to_rat,
     format_rat,
     parse_int,
     parse_rat,
 )
+from fibclifford.quat import AlgebraParams, Quaternion, scale_isomorphism
 from oracles import fib_naive, int_from_decimal, lucas_naive, sign_by_interval
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 elements = st.builds(QSqrt5, rationals, rationals)
+
+
+# -- exact coercion -------------------------------------------------------------
+
+H11 = AlgebraParams(1, 1)
+RANK1 = DiagonalForm((-1,))
+
+
+def test_to_rat_passes_fractions_through_and_wraps_ints():
+    x = Fraction(3, 7)
+    assert _to_rat(x) is x
+    assert _to_rat(-5) == Fraction(-5) and type(_to_rat(-5)) is Fraction
+
+
+@pytest.mark.parametrize("bad", [0.1, 1.0, "1/2", Decimal("0.1"), None])
+def test_to_rat_rejects_inexact_and_textual_values(bad):
+    with pytest.raises(TypeError):
+        _to_rat(bad)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: DiagonalForm((0.1, -1)),
+        lambda: CliffordElement(RANK1, (Fraction(1), 0.5)),
+        lambda: CliffordElement.blade(RANK1, 1, 0.5),
+        lambda: AlgebraParams(0.5, 1),
+        lambda: Quaternion(H11, 1, 0.5, 0, 0),
+        lambda: Quaternion.from_coeffs(H11, ("1", 0, 0, 0)),
+        lambda: scale_isomorphism(H11, 0.5, 1),
+        lambda: QSqrt5(Decimal("0.5"), 0),
+    ],
+    ids=["form", "element", "blade", "params", "quaternion", "from-coeffs", "scale", "qsqrt5"],
+)
+def test_constructors_reject_floats_strings_and_decimals(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_constructors_accept_ints_as_fractions():
+    values = (
+        DiagonalForm((2, -3)).squares
+        + CliffordElement(RANK1, (1, -2)).coeffs
+        + (AlgebraParams(2, -3).beta1, AlgebraParams(2, -3).beta2)
+        + Quaternion(H11, 1, 2, 3, 4).coeffs
+        + (QSqrt5(1, -2).a, QSqrt5(1, -2).b)
+    )
+    assert values == (2, -3, 1, -2, 2, -3, 1, 2, 3, 4, 1, -2)
+    assert all(type(v) is Fraction for v in values)
 
 
 # -- textual rational format ---------------------------------------------------

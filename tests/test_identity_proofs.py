@@ -26,6 +26,7 @@ from fibclifford import clifford, fibquat, quat
 from fibclifford.cli import run_selftest
 from fibclifford.exactnum import ALPHA, BETA, QSqrt5
 from oracles import weighted_even_powers
+from test_clifford import assert_product_matches_reference, seeded_dense_pair
 
 PAIR_GRID = (Fraction(2), Fraction(-1, 3))
 PAIR_GRID_2 = (Fraction(3), Fraction(-5, 2))
@@ -179,3 +180,17 @@ def test_wrong_scaling_image_fails_the_proof(monkeypatch):
     _mutate(monkeypatch, quat, "scale_isomorphism", "e4 * (1 / (x * y))", "e4 * (1 / (x * x))")
     with pytest.raises(AssertionError):
         prove_scaling()
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("if (parity & j).bit_count() & 1:", "if not (parity & j).bit_count() & 1:"),
+        ("term = a * b * m", "term = a * b"),
+    ],
+    ids=["flipped-parity", "no-metric-factor"],
+)
+def test_broken_product_kernel_fails_the_reference_check(monkeypatch, old, new):
+    _mutate(monkeypatch, clifford, "_product", old, new)
+    with pytest.raises(AssertionError):
+        assert_product_matches_reference(*seeded_dense_pair(3, seed=3))
