@@ -12,7 +12,6 @@ from .clifford import (
     CliffordClass,
     CliffordElement,
     DiagonalForm,
-    QuaternionModel,
     blade_name,
     blade_product,
     classify,
@@ -87,7 +86,6 @@ __all__ = [
     "NotInvertibleError",
     "QSqrt5",
     "Quaternion",
-    "QuaternionModel",
     "Rat",
     "ThresholdCertificate",
     "ZeroScaleError",

@@ -268,7 +268,7 @@ def _cmd_clifford_table(ns: argparse.Namespace) -> int:
 # -- embedded self-verification ------------------------------------------------
 
 
-def _selftest_table(corrupt: bool) -> tuple[bool, str]:
+def _selftest_table() -> tuple[bool, str]:
     # Both sides of each identity below are of degree <= 1 in each parameter,
     # so holding on a 2x2 grid of distinct values proves it for all of them.
     for b1 in (Fraction(2), Fraction(-1, 3)):
@@ -284,8 +284,6 @@ def _selftest_table(corrupt: bool) -> tuple[bool, str]:
             for i in range(4):
                 for j in range(4):
                     product = basis[i] * basis[j]
-                    if corrupt and (i, j) == (1, 2):
-                        product = -product
                     k, c = table.get((i, j), (i + j, 1))
                     if product.coeffs != tuple(c if m == k else 0 for m in range(4)):
                         return False, f"basis product e{i + 1}*e{j + 1} wrong in {params.label()}"
@@ -296,13 +294,17 @@ def _selftest_table(corrupt: bool) -> tuple[bool, str]:
                     return False, f"growth constants wrong for {params.label()}"
             if profile.oscillating != QSqrt5.from_rat(1 - b1 + b2 - b1 * b2):
                 return False, f"growth constants wrong for {params.label()}"
-            _, model = quaternion_isomorphism(DiagonalForm((b1, b2)))
-            if not model.is_multiplicative():
-                return False, f"blade products of diag({b1}, {b2}) leave H({-b1}, {-b2})"
+            form = DiagonalForm((b1, b2))
+            images = Quaternion.basis(quaternion_isomorphism(form))
+            for i in range(4):
+                for j in range(4):
+                    coeff, mask = blade_product(i, j, form)
+                    if images[mask] * coeff != images[i] * images[j]:
+                        return False, f"blade products of diag({b1}, {b2}) leave H({-b1}, {-b2})"
     return True, "basis products, growth constants and blade products hold for all parameters"
 
 
-def _selftest_norm_multiplicativity(corrupt: bool) -> tuple[bool, str]:
+def _selftest_norm_multiplicativity() -> tuple[bool, str]:
     rng = random.Random(7)
     algebras = [
         AlgebraParams(1, 1),
@@ -325,14 +327,14 @@ def _selftest_norm_multiplicativity(corrupt: bool) -> tuple[bool, str]:
     return True, f"{checked} random products have multiplicative norm"
 
 
-def _selftest_binet(corrupt: bool) -> tuple[bool, str]:
+def _selftest_binet() -> tuple[bool, str]:
     for n in range(121):
         if binet(n) != QSqrt5(Fraction(fib(n)), Fraction(0)):
             return False, f"closed form disagrees with fib({n})"
     return True, "closed form matches fib(n) for n <= 120"
 
 
-def _selftest_horadam(corrupt: bool) -> tuple[bool, str]:
+def _selftest_horadam() -> tuple[bool, str]:
     for p, q in ((2, 3), (1, 0), (0, 1), (-4, 7)):
         seeds = HoradamParams(p, q)
         h0, h1 = p, q
@@ -347,7 +349,7 @@ def _selftest_horadam(corrupt: bool) -> tuple[bool, str]:
     return True, "seeded terms are the Fibonacci combination for n <= 120"
 
 
-def _selftest_polarization(corrupt: bool) -> tuple[bool, str]:
+def _selftest_polarization() -> tuple[bool, str]:
     rng = random.Random(11)
     checked = 0
     for params in (AlgebraParams(1, -1), AlgebraParams(-2, -3)):
@@ -370,7 +372,7 @@ def _selftest_polarization(corrupt: bool) -> tuple[bool, str]:
     return True, f"{checked} random vector pairs polarize consistently"
 
 
-def _selftest_dimension(corrupt: bool) -> tuple[bool, str]:
+def _selftest_dimension() -> tuple[bool, str]:
     for rank in range(7):
         form = DiagonalForm(tuple(Fraction(-1) for _ in range(rank)))
         if form.dim != 1 << rank:
@@ -382,7 +384,7 @@ def _selftest_dimension(corrupt: bool) -> tuple[bool, str]:
     return True, "blade bases have dimension 2^n and close under products"
 
 
-def _selftest_fixtures(corrupt: bool) -> tuple[bool, str]:
+def _selftest_fixtures() -> tuple[bool, str]:
     expected = {
         (Fraction(1), Fraction(-1)): ("Division", "H(1,1)", 0, -1),
         (Fraction(-2), Fraction(-3)): ("Split", "H(-1,-1)", 0, 1),
@@ -413,14 +415,13 @@ _SELFTEST_GROUPS = (
 )
 
 
-def run_selftest(corrupt_group: str | None = None) -> list[tuple[str, bool, str]]:
-    """Run every identity group; ``corrupt_group`` is a fault-injection hook
-    used by the test harness to confirm that failures are detected.  A group
-    that raises fails with the exception as its detail."""
+def run_selftest() -> list[tuple[str, bool, str]]:
+    """Run every identity group.  A group that raises fails with the
+    exception as its detail."""
     results = []
     for name, func in _SELFTEST_GROUPS:
         try:
-            ok, detail = func(corrupt=(corrupt_group == name))
+            ok, detail = func()
         except Exception as exc:  # a crash is a failed group, not a traceback
             ok, detail = False, f"{type(exc).__name__}: {exc}"
         results.append((name, ok, detail))

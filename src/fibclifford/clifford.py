@@ -30,7 +30,7 @@ from .fibquat import (
     _seeded_discriminant,
     growth_profile,
 )
-from .quat import AlgebraParams, Quaternion, is_division_algebra
+from .quat import AlgebraParams, is_division_algebra
 
 MAX_GENERATORS = 16
 
@@ -278,48 +278,18 @@ def rank2_class(form: DiagonalForm) -> CliffordClass:
     return CliffordClass.SPLIT
 
 
-@dataclass(frozen=True, slots=True)
-class QuaternionModel:
-    """Identification of a rank-2 Clifford algebra with H(-a, -b).
+def quaternion_isomorphism(form: DiagonalForm) -> AlgebraParams:
+    """The quaternion algebra H(-a, -b) of Cl(diag(a, b)).
 
-    ``blade_images`` are the quaternions assigned to the blades
-    (1, g1, g2, g1g2) in mask order.
-    """
-
-    form: DiagonalForm
-    params: AlgebraParams
-    blade_images: tuple[Quaternion, Quaternion, Quaternion, Quaternion]
-
-    def apply(self, element: CliffordElement) -> Quaternion:
-        if element.form != self.form:
-            raise MixedFormsError("element does not live over the model's form")
-        acc = Quaternion.zero(self.params)
-        for coeff, image in zip(element.coeffs, self.blade_images):
-            acc = acc + image * coeff
-        return acc
-
-    def is_multiplicative(self) -> bool:
-        """Check the structure constants agree on all 16 blade pairs."""
-        for i in range(4):
-            for j in range(4):
-                coeff, mask = blade_product(i, j, self.form)
-                lhs = self.blade_images[mask] * coeff
-                rhs = self.blade_images[i] * self.blade_images[j]
-                if lhs != rhs:
-                    return False
-        return True
-
-
-def quaternion_isomorphism(form: DiagonalForm) -> tuple[AlgebraParams, QuaternionModel]:
-    """Identify Cl(diag(a, b)) with H(-a, -b) via 1, e2, e3, e4.
-
-    The test suite and ``selftest`` prove that the map is multiplicative
-    for every nonzero (a, b); it is not re-checked per call.
+    Blades (1, g1, g2, g1g2) map to (1, e2, e3, e4), so an element's
+    blade-coefficient tuple is the quaternion's coefficient tuple and no map
+    object is needed.  The test suite and ``selftest`` prove the
+    identification multiplicative for every nonzero (a, b); it is not
+    re-checked per call.
     """
     if form.rank != 2:
         raise ValueError(f"rank-2 form required, got rank {form.rank}")
-    params = AlgebraParams(-form[0], -form[1])
-    return params, QuaternionModel(form, params, Quaternion.basis(params))
+    return AlgebraParams(-form[0], -form[1])
 
 
 def fibonacci_form(n: int, params: AlgebraParams) -> DiagonalForm:
@@ -410,7 +380,6 @@ def classify(
     clifford_class = rank2_class(form)
     if (clifford_class is CliffordClass.DIVISION) != (sign < 0):
         raise AssertionError("form-entry route and discriminant route disagree")
-    model_params, _ = quaternion_isomorphism(form)
     canonical = "H(1,1)" if clifford_class is CliffordClass.DIVISION else "H(-1,-1)"
     return ClassificationReport(
         params=params,
@@ -423,7 +392,7 @@ def classify(
         clifford_class=clifford_class,
         canonical=canonical,
         scaling_witness=(abs(form[0]), abs(form[1])),
-        quaternion_model=model_params,
+        quaternion_model=quaternion_isomorphism(form),
         seeds=seeds,
         seeded_discriminant=seeded_discriminant,
         seeded_certificate=seeded_certificate,

@@ -89,7 +89,7 @@ def _decimal(n: int) -> str:
 
 def format_rat(value: Rat | int) -> str:
     """Render a rational in the textual wire format (``-3/2``, ``7``), of any size."""
-    x = Fraction(value)
+    x = _to_rat(value)
     if x.denominator == 1:
         return _decimal(x.numerator)
     return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BelowThresholdError, IndeterminateError
-from .exactnum import ALPHA, BETA, QSqrt5, Rat, _sign_z5
+from .exactnum import ALPHA, BETA, QSqrt5, Rat, _sign_z5, _to_rat
 from .fib import HoradamParams, fib_pair, horadam
 from .quat import AlgebraParams, Quaternion
 
@@ -103,8 +103,8 @@ class FibSpaceVector:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError(f"basepoint must be nonnegative, got {self.n}")
-        object.__setattr__(self, "x1", Fraction(self.x1))
-        object.__setattr__(self, "x2", Fraction(self.x2))
+        object.__setattr__(self, "x1", _to_rat(self.x1))
+        object.__setattr__(self, "x2", _to_rat(self.x2))
 
     def _require_same_basepoint(self, other: FibSpaceVector) -> None:
         if self.n != other.n:

@@ -2,16 +2,19 @@
 
 Everything here is deliberately naive: plain recurrences, interval
 bisection, symbol-by-symbol rewriting.  None of it shares code paths with
-the package under test.
+the package under test, except the checks of the quaternion identifications
+(``rank2_as_quaternion`` to ``basis_map_is_multiplicative``): they multiply
+with ``Quaternion``, which ``quaternion_mul_reference`` checks in turn.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from fibclifford import clifford
 from fibclifford.clifford import CliffordElement
 from fibclifford.exactnum import ALPHA, BETA, QSqrt5
-from fibclifford.quat import AlgebraParams, Quaternion
+from fibclifford.quat import AlgebraParams, BasisMap, Quaternion
 
 
 def fib_naive(n: int) -> int:
@@ -156,6 +159,51 @@ def clifford_mul_reference(x: CliffordElement, y: CliffordElement) -> CliffordEl
             coeff, mask = blade_product_rewrite(i, j, squares)
             out[mask] += xi * yj * coeff
     return CliffordElement(x.form, tuple(out))
+
+
+def rank2_as_quaternion(x: CliffordElement) -> Quaternion:
+    """The rank-2 element ``x`` of Cl(diag(a, b)) as a quaternion of
+    H(-a, -b): blades (1, g1, g2, g1g2) go to (1, e2, e3, e4), so the
+    coefficient tuple carries over unchanged."""
+    return Quaternion.from_coeffs(clifford.quaternion_isomorphism(x.form), x.coeffs)
+
+
+def blade_table_is_quaternion_table(form: clifford.DiagonalForm) -> bool:
+    """True iff the blade products of the rank-2 ``form`` map onto the basis
+    products of H(-a, -b) on all 16 pairs (hence everywhere, by bilinearity).
+    ``blade_product`` is read through its module, so a test that patches
+    ``clifford.blade_product`` reaches this check."""
+    images = Quaternion.basis(clifford.quaternion_isomorphism(form))
+    for i in range(4):
+        for j in range(4):
+            coeff, mask = clifford.blade_product(i, j, form)
+            if images[mask] * coeff != images[i] * images[j]:
+                return False
+    return True
+
+
+def apply_basis_map(mapping: BasisMap, x: Quaternion) -> Quaternion:
+    """The image of ``x``: the sum of its coefficients times the images of
+    (1, e2, e3, e4)."""
+    assert x.params == mapping.source
+    acc = Quaternion.zero(mapping.target)
+    for coeff, image in zip(x.coeffs, mapping.images):
+        acc = acc + image * coeff
+    return acc
+
+
+def basis_map_is_multiplicative(mapping: BasisMap) -> bool:
+    """True iff ``mapping`` sends 1 to 1 and respects the product on all 16
+    basis pairs (hence everywhere, by bilinearity)."""
+    basis = Quaternion.basis(mapping.source)
+    if apply_basis_map(mapping, basis[0]) != Quaternion.one(mapping.target):
+        return False
+    return all(
+        apply_basis_map(mapping, u * v)
+        == apply_basis_map(mapping, u) * apply_basis_map(mapping, v)
+        for u in basis
+        for v in basis
+    )
 
 
 # Basis products of H(beta1, beta2), straight from the defining table.

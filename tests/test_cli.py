@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from fibclifford import cli
 from fibclifford.cli import main, run_selftest
 from fibclifford.exactnum import MAX_LITERAL_DIGITS
 from oracles import fib_naive, int_from_decimal
@@ -304,8 +305,15 @@ def test_selftest_json_lines(capsys):
         assert record["status"] == "PASS"
 
 
-def test_selftest_fault_injection_detected():
-    results = run_selftest(corrupt_group="multiplication-table")
+def test_selftest_fault_injection_detected(monkeypatch):
+    original = cli.blade_product
+
+    def flipped(mask_a, mask_b, form):
+        coeff, mask = original(mask_a, mask_b, form)
+        return (-coeff if (mask_a, mask_b) == (1, 2) else coeff), mask
+
+    monkeypatch.setattr(cli, "blade_product", flipped)
+    results = run_selftest()
     by_name = {name: ok for name, ok, _ in results}
     assert by_name["multiplication-table"] is False
     assert all(ok for name, ok in by_name.items() if name != "multiplication-table")

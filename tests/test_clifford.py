@@ -20,9 +20,14 @@ from fibclifford.clifford import (
 )
 from fibclifford.errors import DegenerateFormError, MixedFormsError
 from fibclifford.fibquat import growth_discriminant
-from fibclifford.quat import AlgebraParams, is_division_algebra
+from fibclifford.quat import AlgebraParams, Quaternion, is_division_algebra
 from conftest import CLASS_FIXTURES
-from oracles import blade_product_rewrite, clifford_mul_reference
+from oracles import (
+    blade_product_rewrite,
+    blade_table_is_quaternion_table,
+    clifford_mul_reference,
+    rank2_as_quaternion,
+)
 
 NEG_NEG = DiagonalForm((-1, -1))
 POS_POS = DiagonalForm((1, 1))
@@ -192,36 +197,32 @@ def test_element_str():
 
 
 def test_negative_definite_form_gives_hamilton_quaternions():
-    params, model = quaternion_isomorphism(NEG_NEG)
+    params = quaternion_isomorphism(NEG_NEG)
     assert params == AlgebraParams(1, 1)
-    assert model.is_multiplicative()
+    assert blade_table_is_quaternion_table(NEG_NEG)
     # entry-for-entry: blade products map onto the quaternion table
+    images = Quaternion.basis(params)
     for i in range(4):
         for j in range(4):
             coeff, mask = blade_product(i, j, NEG_NEG)
-            assert model.blade_images[mask] * coeff == (
-                model.blade_images[i] * model.blade_images[j]
-            )
+            assert images[mask] * coeff == images[i] * images[j]
 
 
 def test_positive_definite_form_gives_split_model():
-    params, model = quaternion_isomorphism(POS_POS)
-    assert params == AlgebraParams(-1, -1)
-    assert model.is_multiplicative()
+    assert quaternion_isomorphism(POS_POS) == AlgebraParams(-1, -1)
+    assert blade_table_is_quaternion_table(POS_POS)
 
 
 def test_fibonacci_form_model():
     form = DiagonalForm((-4, -11))
-    params, model = quaternion_isomorphism(form)
-    assert params == AlgebraParams(4, 11)
-    assert model.is_multiplicative()
+    assert quaternion_isomorphism(form) == AlgebraParams(4, 11)
+    assert blade_table_is_quaternion_table(form)
 
 
 def test_model_applies_linearly():
-    _, model = quaternion_isomorphism(NEG_NEG)
     x = CliffordElement(NEG_NEG, (1, 2, 3, 4))
     y = CliffordElement(NEG_NEG, (0, -1, 1, Fraction(1, 2)))
-    assert model.apply(x * y) == model.apply(x) * model.apply(y)
+    assert rank2_as_quaternion(x * y) == rank2_as_quaternion(x) * rank2_as_quaternion(y)
 
 
 # -- rank-2 classification --------------------------------------------------------------

@@ -23,6 +23,7 @@ from fibclifford.exactnum import (
     parse_int,
     parse_rat,
 )
+from fibclifford.fibquat import FibSpaceVector
 from fibclifford.quat import AlgebraParams, Quaternion, scale_isomorphism
 from oracles import fib_naive, int_from_decimal, lucas_naive, sign_by_interval
 
@@ -59,8 +60,21 @@ def test_to_rat_rejects_inexact_and_textual_values(bad):
         lambda: Quaternion.from_coeffs(H11, ("1", 0, 0, 0)),
         lambda: scale_isomorphism(H11, 0.5, 1),
         lambda: QSqrt5(Decimal("0.5"), 0),
+        lambda: FibSpaceVector(0, 0.1, "1/3"),
+        lambda: format_rat(0.1),
     ],
-    ids=["form", "element", "blade", "params", "quaternion", "from-coeffs", "scale", "qsqrt5"],
+    ids=[
+        "form",
+        "element",
+        "blade",
+        "params",
+        "quaternion",
+        "from-coeffs",
+        "scale",
+        "qsqrt5",
+        "vector",
+        "format-rat",
+    ],
 )
 def test_constructors_reject_floats_strings_and_decimals(build):
     with pytest.raises(TypeError):
