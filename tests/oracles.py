@@ -10,6 +10,7 @@ with ``Quaternion``, which ``quaternion_mul_reference`` checks in turn.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from fibclifford import clifford
 from fibclifford.clifford import CliffordElement
@@ -248,3 +249,38 @@ def quaternion_norm_reference(x: Quaternion) -> Fraction:
     b1, b2 = x.params.beta1, x.params.beta2
     a1, a2, a3, a4 = x.coeffs
     return a1**2 + b1 * a2**2 + b2 * a3**2 + b1 * b2 * a4**2
+
+
+def parse_signed_sum(text: str) -> dict[str, Fraction]:
+    """Coefficients by basis name of a rendered sum such as
+    ``-3/2 + e2 - 5*e1e3``, read token by token: the first term may carry a
+    leading ``-``, every later one follows `` + `` or `` - ``, a bare number
+    is a multiple of the unit (named ``"1"``), a bare name has coefficient 1,
+    and ``0`` is the empty sum.  Raises ``ValueError`` on anything else: a
+    zero or doubly signed term, a repeated name, or an explicit ``1*``."""
+    if text == "0":
+        return {}
+    tokens = text.split(" ")
+    if len(tokens) % 2 == 0:
+        raise ValueError(f"dangling operator in {text!r}")
+    first = tokens[0]
+    signs = ["-" if first.startswith("-") else "+"] + tokens[1::2]
+    terms = [first.removeprefix("-")] + tokens[2::2]
+    out: dict[str, Fraction] = {}
+    for sign, term in zip(signs, terms):
+        if sign not in ("+", "-") or not term or term[0] in "+-":
+            raise ValueError(f"bad sign before {term!r} in {text!r}")
+        digits, star, name = term.rpartition("*")
+        if not star:
+            digits, name = (term, "1") if term[0] in "0123456789" else ("1", term)
+        elif digits == "1" or not name or name[0] in "0123456789":
+            raise ValueError(f"non-canonical term {term!r} in {text!r}")
+        num, slash, den = digits.partition("/")
+        n, d = int_from_decimal(num), int_from_decimal(den) if slash else 1
+        if num[:1] in ("", "0") or slash and (den[:1] in ("", "0") or d == 1 or gcd(n, d) != 1):
+            raise ValueError(f"coefficient {digits!r} not in lowest terms in {text!r}")
+        if name in out:
+            raise ValueError(f"repeated basis name {name!r} in {text!r}")
+        value = Fraction(n, d)
+        out[name] = -value if sign == "-" else value
+    return out
