@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import lcm, prod
 
 from .errors import DegenerateFormError, MixedFormsError
-from .exactnum import QSqrt5, Rat, _to_rat, format_rat
+from .exactnum import QSqrt5, Rat, _signed_sum, _to_rat, format_rat
 from .fibquat import (
     ThresholdCertificate,
     _basis_norms,
@@ -62,11 +62,12 @@ class DiagonalForm:
     def dim(self) -> int:
         return 1 << len(self.squares)
 
-    def __len__(self) -> int:
-        return len(self.squares)
-
     def __getitem__(self, i: int) -> Fraction:
         return self.squares[i]
+
+
+def _diag(squares: tuple[Fraction, ...]) -> str:
+    return f"diag({', '.join(map(format_rat, squares))})"
 
 
 def blade_name(mask: int) -> str:
@@ -103,7 +104,8 @@ def blade_product(
     """
     dim = form.dim
     if not (0 <= mask_a < dim and 0 <= mask_b < dim):
-        raise ValueError(f"blade mask out of range for rank {form.rank}")
+        bad = mask_b if 0 <= mask_a < dim else mask_a
+        raise ValueError(f"blade mask {bad} out of range for rank {form.rank}")
     coeff = Fraction(-1 if (_reorder_parity(mask_a) & mask_b).bit_count() & 1 else 1)
     common = mask_a & mask_b
     while common:
@@ -190,7 +192,7 @@ class CliffordElement:
         cls, form: DiagonalForm, mask: int, coeff: Rat | int = 1
     ) -> CliffordElement:
         if not 0 <= mask < form.dim:
-            raise ValueError(f"blade mask out of range for rank {form.rank}")
+            raise ValueError(f"blade mask {mask} out of range for rank {form.rank}")
         coeffs = [Fraction(0)] * form.dim
         coeffs[mask] = coeff
         return cls(form, tuple(coeffs))
@@ -204,7 +206,10 @@ class CliffordElement:
 
     def _require_same_form(self, other: CliffordElement) -> None:
         if self.form != other.form:
-            raise MixedFormsError("cannot combine elements over different forms")
+            raise MixedFormsError(
+                f"cannot combine elements over {_diag(self.form.squares)} "
+                f"and {_diag(other.form.squares)}"
+            )
 
     def __add__(self, other: CliffordElement) -> CliffordElement:
         if not isinstance(other, CliffordElement):
@@ -240,23 +245,7 @@ class CliffordElement:
         return all(c == 0 for c in self.coeffs)
 
     def __str__(self) -> str:
-        parts = []
-        for mask, coeff in enumerate(self.coeffs):
-            if coeff == 0:
-                continue
-            name = blade_name(mask)
-            mag = format_rat(abs(coeff))
-            if name == "1":
-                term = mag
-            elif mag == "1":
-                term = name
-            else:
-                term = f"{mag}*{name}"
-            parts.append(("- " if coeff < 0 else "+ ") + term)
-        if not parts:
-            return "0"
-        first = parts[0].replace("+ ", "").replace("- ", "-")
-        return " ".join([first] + parts[1:])
+        return _signed_sum((c, blade_name(mask)) for mask, c in enumerate(self.coeffs) if c)
 
 
 class CliffordClass(Enum):
@@ -264,18 +253,16 @@ class CliffordClass(Enum):
     DIVISION = "Division"
 
 
-def rank2_class(form: DiagonalForm) -> CliffordClass:
-    """Division iff both squares are negative, otherwise split.
+def _class_of(model: AlgebraParams) -> CliffordClass:
+    return CliffordClass.DIVISION if is_division_algebra(model) else CliffordClass.SPLIT
 
-    Rescaling by rational squares reduces diag(a, b) to diag(+-1, +-1);
-    both entries negative gives the Hamilton quaternions, any positive
-    entry gives the (unique) split class.
+
+def rank2_class(form: DiagonalForm) -> CliffordClass:
+    """The class of the quaternion algebra H(-a, -b) of Cl(diag(a, b)):
+    division iff both squares are negative, otherwise the (unique) split
+    class.
     """
-    if form.rank != 2:
-        raise ValueError(f"rank-2 form required, got rank {form.rank}")
-    if form[0] < 0 and form[1] < 0:
-        return CliffordClass.DIVISION
-    return CliffordClass.SPLIT
+    return _class_of(quaternion_isomorphism(form))
 
 
 def quaternion_isomorphism(form: DiagonalForm) -> AlgebraParams:
@@ -297,8 +284,7 @@ def fibonacci_form(n: int, params: AlgebraParams) -> DiagonalForm:
     n0, n1 = _basis_norms(n, params)
     if n0 == 0 or n1 == 0:
         raise DegenerateFormError(
-            f"degenerate at n={n} in {params.label()}: "
-            f"diag({format_rat(n0)}, {format_rat(n1)})"
+            f"degenerate at n={n} in {params.label()}: {_diag((n0, n1))}"
         )
     return DiagonalForm((n0, n1))
 
@@ -377,7 +363,8 @@ def classify(
         seeded_certificate = _certify(params, p, q)
     basepoint = certificate.n_prime
     form = fibonacci_form(basepoint, params)
-    clifford_class = rank2_class(form)
+    model = quaternion_isomorphism(form)
+    clifford_class = _class_of(model)
     if (clifford_class is CliffordClass.DIVISION) != (sign < 0):
         raise AssertionError("form-entry route and discriminant route disagree")
     canonical = "H(1,1)" if clifford_class is CliffordClass.DIVISION else "H(-1,-1)"
@@ -392,7 +379,7 @@ def classify(
         clifford_class=clifford_class,
         canonical=canonical,
         scaling_witness=(abs(form[0]), abs(form[1])),
-        quaternion_model=quaternion_isomorphism(form),
+        quaternion_model=model,
         seeds=seeds,
         seeded_discriminant=seeded_discriminant,
         seeded_certificate=seeded_certificate,

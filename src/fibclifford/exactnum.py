@@ -12,6 +12,7 @@ denominators are cleared; no floating point appears anywhere.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -93,6 +94,23 @@ def format_rat(value: Rat | int) -> str:
     if x.denominator == 1:
         return _decimal(x.numerator)
     return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
+
+
+def _signed_sum(terms: Iterable[tuple[Rat | int, str]]) -> str:
+    """Render ``(coefficient, basis name)`` pairs as a signed sum such as
+    ``1 - e2 + 5/2*e4``: zero terms are skipped, a coefficient of magnitude
+    1 is left out, the name ``"1"`` is the unit, and no terms print ``0``."""
+    parts = []
+    for coeff, name in terms:
+        if not coeff:
+            continue
+        mag = format_rat(abs(coeff))
+        term = mag if name == "1" else name if mag == "1" else f"{mag}*{name}"
+        parts.append(("- " if coeff < 0 else "+ ") + term)
+    if not parts:
+        return "0"
+    text = " ".join(parts)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 def _sign_z5(x: int, y: int) -> int:
@@ -258,18 +276,8 @@ class QSqrt5:
     def to_json(self) -> dict[str, str]:
         return {"a": format_rat(self.a), "b": format_rat(self.b)}
 
-    @classmethod
-    def from_json(cls, data: dict[str, str]) -> QSqrt5:
-        return cls(parse_rat(data["a"]), parse_rat(data["b"]))
-
     def __str__(self) -> str:
-        if self.b == 0:
-            return format_rat(self.a)
-        root = "sqrt(5)" if abs(self.b) == 1 else f"{format_rat(abs(self.b))}*sqrt(5)"
-        if self.a == 0:
-            return root if self.b > 0 else f"-{root}"
-        op = "+" if self.b > 0 else "-"
-        return f"{format_rat(self.a)} {op} {root}"
+        return _signed_sum(((self.a, "1"), (self.b, "sqrt(5)")))
 
 
 ZERO = QSqrt5(Fraction(0), Fraction(0))

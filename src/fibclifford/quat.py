@@ -29,7 +29,7 @@ from .errors import (
     NotInvertibleError,
     ZeroScaleError,
 )
-from .exactnum import Rat, _to_rat, format_rat
+from .exactnum import Rat, _signed_sum, _to_rat, format_rat
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,25 +178,8 @@ class Quaternion:
             "coeffs": [format_rat(c) for c in self.coeffs],
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> Quaternion:
-        from .exactnum import parse_rat
-
-        params = AlgebraParams(parse_rat(data["beta1"]), parse_rat(data["beta2"]))
-        return cls.from_coeffs(params, [parse_rat(c) for c in data["coeffs"]])
-
     def __str__(self) -> str:
-        parts = []
-        for coeff, name in zip(self.coeffs, ("", "e2", "e3", "e4")):
-            if coeff == 0:
-                continue
-            mag = format_rat(abs(coeff))
-            term = mag if not name else (name if mag == "1" else f"{mag}*{name}")
-            parts.append(("- " if coeff < 0 else "+ ") + term)
-        if not parts:
-            return "0"
-        first = parts[0].replace("+ ", "").replace("- ", "-")
-        return " ".join([first] + parts[1:])
+        return _signed_sum(zip(self.coeffs, ("1", "e2", "e3", "e4")))
 
 
 def is_division_algebra(params: AlgebraParams) -> bool:
@@ -229,7 +212,9 @@ def scale_isomorphism(
     """
     x, y = _to_rat(x), _to_rat(y)
     if x == 0 or y == 0:
-        raise ZeroScaleError("scale factors must be nonzero")
+        raise ZeroScaleError(
+            f"scale factors must be nonzero (got x={format_rat(x)}, y={format_rat(y)})"
+        )
     target = AlgebraParams(x * x * params.beta1, y * y * params.beta2)
     one, e2, e3, e4 = Quaternion.basis(target)
     return target, BasisMap(
@@ -248,16 +233,18 @@ def _rat_sqrt(value: Fraction) -> Fraction | None:
     return None
 
 
-def zero_divisor_witness(
-    params: AlgebraParams, max_height: int = 8
-) -> Quaternion | None:
+#: Largest coordinate height ``zero_divisor_witness`` searches.
+MAX_WITNESS_HEIGHT = 8
+
+
+def zero_divisor_witness(params: AlgebraParams) -> Quaternion | None:
     """A nonzero quaternion of zero norm, constructed deterministically.
 
     Tries closed forms first (1 + e_k/t whenever the matching square root is
     rational, then e2 + t*e3), falling back to an exhaustive search over
-    integer coordinate vectors of height <= max_height.  Returns None for
-    division algebras and for split algebras whose norm form happens to be
-    anisotropic over the rationals within the search bound.
+    integer coordinate vectors of height <= ``MAX_WITNESS_HEIGHT``.  Returns
+    None for division algebras and for split algebras whose norm form
+    happens to be anisotropic over the rationals within the search bound.
     """
     if is_division_algebra(params):
         return None
@@ -271,7 +258,7 @@ def zero_divisor_witness(
     t = _rat_sqrt(-b1 / b2)
     if t is not None and t != 0:
         return Quaternion.from_coeffs(params, (0, 1, t, 0))
-    for height in range(1, max_height + 1):
+    for height in range(1, MAX_WITNESS_HEIGHT + 1):
         for coords in product(range(-height, height + 1), repeat=4):
             if max(abs(c) for c in coords) != height:
                 continue

@@ -9,7 +9,8 @@ import pytest
 
 from fibclifford import cli
 from fibclifford.cli import main, run_selftest
-from fibclifford.exactnum import MAX_LITERAL_DIGITS
+from fibclifford.exactnum import MAX_LITERAL_DIGITS, format_rat
+from fibclifford.fib import fib
 from oracles import fib_naive, int_from_decimal
 
 EXPECTED_H1M1_REPORT = {
@@ -276,6 +277,20 @@ def test_fib_output_past_int_str_limit(capsys):
     digits = out.strip()
     assert len(digits) == 6270 and digits[0] != "0"
     assert int_from_decimal(digits) == fib_naive(30000)
+
+
+def test_fib_index_over_cap_is_a_domain_error(capsys):
+    code, out, err = run_cli(capsys, "fib", "--n", str(cli.MAX_FIB_INDEX + 1))
+    assert code == 2
+    assert out == ""
+    assert err == f"--n: {cli.MAX_FIB_INDEX + 1} exceeds the cap of {cli.MAX_FIB_INDEX}\n"
+
+
+def test_fib_index_at_cap_succeeds(capsys):
+    assert cli.MAX_FIB_INDEX > 30_099  # the benchmark's CLI session runs fib up to 30,000
+    code, out, _ = run_cli(capsys, "fib", "--n", str(cli.MAX_FIB_INDEX))
+    assert code == 0
+    assert out.strip() == format_rat(fib(cli.MAX_FIB_INDEX))
 
 
 def test_help_exits_zero(capsys):

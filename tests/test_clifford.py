@@ -132,6 +132,18 @@ def test_mixed_forms_rejected():
         x + y
 
 
+def test_domain_errors_name_their_inputs():
+    form = DiagonalForm((Fraction(-1, 2), 3))
+    with pytest.raises(MixedFormsError, match=r"over diag\(-1/2, 3\) and diag\(1, 1\)$"):
+        CliffordElement.one(form) * CliffordElement.one(POS_POS)
+    with pytest.raises(ValueError, match=r"^blade mask 4 out of range for rank 2$"):
+        blade_product(1, 4, form)
+    with pytest.raises(ValueError, match=r"^blade mask -1 out of range for rank 2$"):
+        blade_product(-1, 0, form)
+    with pytest.raises(ValueError, match=r"^blade mask 7 out of range for rank 2$"):
+        CliffordElement.blade(form, 7)
+
+
 @settings(max_examples=40)
 @given(st.data())
 def test_multiplication_associative_rank3(data):

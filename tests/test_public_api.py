@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import inspect
+
 import fibclifford
-from fibclifford import clifford
-from fibclifford.quat import BasisMap
+from fibclifford import cli, clifford
+from fibclifford.clifford import DiagonalForm
+from fibclifford.exactnum import QSqrt5
+from fibclifford.quat import BasisMap, Quaternion, zero_divisor_witness
 
 PUBLIC_NAMES = [
     "ALPHA",
@@ -80,3 +84,12 @@ def test_test_only_machinery_is_gone():
     assert not hasattr(clifford, "QuaternionModel")
     assert not hasattr(BasisMap, "apply")
     assert not hasattr(BasisMap, "is_multiplicative")
+
+
+def test_unused_inputs_are_gone():
+    assert len(fibclifford.__all__) == 55
+    assert not hasattr(QSqrt5, "from_json")
+    assert not hasattr(Quaternion, "from_json")
+    assert not hasattr(DiagonalForm, "__len__")
+    assert list(inspect.signature(zero_divisor_witness).parameters) == ["params"]
+    assert not hasattr(cli, "_term")
