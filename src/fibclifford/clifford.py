@@ -27,8 +27,9 @@ from .fibquat import (
     ThresholdCertificate,
     _basis_norms,
     _certify,
-    _seeded_discriminant,
-    growth_profile,
+    _discriminant,
+    _e_prime,
+    _growth_integers,
 )
 from .quat import AlgebraParams, is_division_algebra
 
@@ -353,14 +354,14 @@ def classify(
     """
     if (p is None) != (q is None):
         raise ValueError("seeds p and q must be given together")
-    profile = growth_profile(params)
-    certificate = _certify(params, 0, 1)
+    growth = _growth_integers(params)
+    certificate = _certify(params, growth, 0, 1)
     sign = certificate.limit_sign
     seeds = seeded_discriminant = seeded_certificate = None
     if p is not None:
         seeds = (p, q)
-        seeded_discriminant = _seeded_discriminant(profile, p, q)
-        seeded_certificate = _certify(params, p, q)
+        seeded_discriminant = _e_prime(growth, p, q)
+        seeded_certificate = _certify(params, growth, p, q)
     basepoint = certificate.n_prime
     form = fibonacci_form(basepoint, params)
     model = quaternion_isomorphism(form)
@@ -370,7 +371,7 @@ def classify(
     canonical = "H(1,1)" if clifford_class is CliffordClass.DIVISION else "H(-1,-1)"
     return ClassificationReport(
         params=params,
-        discriminant=profile.discriminant,
+        discriminant=_discriminant(growth),
         discriminant_sign=sign,
         input_is_division=is_division_algebra(params),
         certificate=certificate,

@@ -28,6 +28,13 @@ zero for rational beta_i (see :func:`_certify`).  The closed forms stay
 public as the paper's identities; the test suite checks them against the
 direct norms.
 
+The other quantities are read off the same integers: E and the seeded
+discriminant E' = (p + q*alpha)^2 * E / 5 divide the growth integers and
+the certificate's limit element by 10*d1*d2 and 200*d1*d2, and the basis
+norms n(F(n)), n(F(n+1)) of the coordinate space divide the direct check's
+integer d1*d2*n(.) by d1*d2.  ``classify`` evaluates the growth integers
+once and hands them to both certificates.
+
 Horadam quaternions H(n; p, q) carry coefficients (h(n), ..., h(n+3)) of the
 seeded sequence h(0) = p, h(1) = q.  For n >= 1 this equals
 p*F(n-1) + q*F(n); the coordinate space at basepoint n uses the basis
@@ -156,12 +163,22 @@ def horadam_quaternion(n: int, p: int, q: int, params: AlgebraParams) -> Quatern
     return Quaternion(params, *(horadam(n + j, seeds) for j in range(4)))
 
 
-def _growth_integers(
-    params: AlgebraParams,
-) -> tuple[tuple[int, int, int, int], int, int, int]:
+# (c, x, y, z) of :func:`_growth_integers`
+_Growth = tuple[tuple[int, int, int, int], int, int, int]
+
+
+def _norm_coefficients(params: AlgebraParams) -> tuple[int, int, int, int]:
+    """c = (d1*d2, n1*d2, n2*d1, n1*n2) = d1*d2*(1, b1, b2, b1*b2) for
+    beta_i = n_i/d_i: d1*d2*n(x) = c0*x1^2 + c1*x2^2 + c2*x3^2 + c3*x4^2."""
+    n1, d1 = params.beta1.numerator, params.beta1.denominator
+    n2, d2 = params.beta2.numerator, params.beta2.denominator
+    return d1 * d2, n1 * d2, n2 * d1, n1 * n2
+
+
+def _growth_integers(params: AlgebraParams) -> _Growth:
     """Integer growth constants for beta_i = n_i/d_i: the norm-form
-    coefficients c = (d1*d2, n1*d2, n2*d1, n1*n2) = d1*d2*(1, b1, b2, b1*b2),
-    and x, y, z with 2*d1*d2*S+ = x + y*sqrt 5 and d1*d2*S0 = z.
+    coefficients c of :func:`_norm_coefficients`, and x, y, z with
+    2*d1*d2*S+ = x + y*sqrt 5 and d1*d2*S0 = z.
 
     S+ = u + v*alpha with u = 1 + b1 + 2 b2 + 5 b1 b2, v = b1 + 3 b2 + 8 b1 b2,
     so x = 2c0 + 3c1 + 7c2 + 18c3 and y = c1 + 3c2 + 8c3; S- is the Galois
@@ -169,24 +186,50 @@ def _growth_integers(
     hence bilinear in (b1, b2) after dividing by d1*d2; the test suite proves
     each equal to its defining polynomial for every (b1, b2).
     """
-    n1, d1 = params.beta1.numerator, params.beta1.denominator
-    n2, d2 = params.beta2.numerator, params.beta2.denominator
-    c = c0, c1, c2, c3 = d1 * d2, n1 * d2, n2 * d1, n1 * n2
+    c = c0, c1, c2, c3 = _norm_coefficients(params)
     u = c0 + c1 + 2 * c2 + 5 * c3
     v = c1 + 3 * c2 + 8 * c3
     return c, 2 * u + v, v, c0 - c1 + c2 - c3
+
+
+def _discriminant(growth: _Growth) -> QSqrt5:
+    """E = S+/5 = (x + y*sqrt 5)/(10*d1*d2) from :func:`_growth_integers`."""
+    c, x, y, _ = growth
+    den = 10 * c[0]
+    return QSqrt5(Fraction(x, den), Fraction(y, den))
+
+
+def _seeded_growth(growth: _Growth, p: int, q: int) -> tuple[int, int]:
+    """(gx, gy) with gx + gy*sqrt 5 = (2A)^2 * (2 d1 d2 S+), A = p + q*alpha.
+
+    This is 200*d1*d2 times the seeded discriminant E' = A^2 * E / 5, so
+    its sign is the limit sign of :func:`_certify`.  The seeds are checked
+    before any arithmetic on them.
+    """
+    HoradamParams(p, q)
+    _, x, y, _ = growth
+    # 2A = (2p + q) + q*sqrt5
+    a, b = 2 * p + q, q
+    ax, ay = a * a + 5 * b * b, 2 * a * b
+    return ax * x + 5 * ay * y, ax * y + ay * x
+
+
+def _e_prime(growth: _Growth, p: int, q: int) -> QSqrt5:
+    """E' = (gx + gy*sqrt 5)/(200*d1*d2), with (gx, gy) from :func:`_seeded_growth`."""
+    gx, gy = _seeded_growth(growth, p, q)
+    den = 200 * growth[0][0]
+    return QSqrt5(Fraction(gx, den), Fraction(gy, den))
 
 
 def growth_profile(params: AlgebraParams) -> GrowthProfile:
     """All growth constants for H(beta1, beta2), read off the integers of
     :func:`_growth_integers` (S+ = 1 + b1*a^2 + b2*a^4 + b1*b2*a^6 at the
     golden ratio a, S- at its conjugate, S0 = 1 - b1 + b2 - b1*b2)."""
-    c, x, y, z = _growth_integers(params)
+    growth = c, x, y, z = _growth_integers(params)
     den = c[0]
     dominant = QSqrt5(Fraction(x, 2 * den), Fraction(y, 2 * den))
-    discriminant = QSqrt5(Fraction(x, 10 * den), Fraction(y, 10 * den))
     oscillating = QSqrt5.from_rat(Fraction(z, den))
-    return GrowthProfile(dominant, dominant.conjugate(), oscillating, discriminant)
+    return GrowthProfile(dominant, dominant.conjugate(), oscillating, _discriminant(growth))
 
 
 def growth_discriminant(params: AlgebraParams) -> QSqrt5:
@@ -198,18 +241,12 @@ def growth_discriminant(params: AlgebraParams) -> QSqrt5:
     values this function returns (the signs, which carry all structural
     weight, agree either way).
     """
-    return growth_profile(params).discriminant
+    return _discriminant(_growth_integers(params))
 
 
 def horadam_growth_discriminant(params: AlgebraParams, p: int, q: int) -> QSqrt5:
     """Seeded discriminant (p + q*alpha)^2 * E / 5; zero only for p = q = 0."""
-    return _seeded_discriminant(growth_profile(params), p, q)
-
-
-def _seeded_discriminant(profile: GrowthProfile, p: int, q: int) -> QSqrt5:
-    HoradamParams(p, q)
-    a = ALPHA * q + p
-    return a * a * profile.discriminant / 5
+    return _e_prime(_growth_integers(params), p, q)
 
 
 def norm_closed_form(n: int, params: AlgebraParams) -> Rat:
@@ -239,9 +276,12 @@ def horadam_norm_closed_form(n: int, params: AlgebraParams, p: int, q: int) -> R
     return value.as_rat()
 
 
-def _certify(params: AlgebraParams, p: int, q: int) -> ThresholdCertificate:
+def _certify(
+    params: AlgebraParams, growth: _Growth, p: int, q: int
+) -> ThresholdCertificate:
     """Certified minimal threshold for the norms of H(n; p, q); seeds (0, 1)
-    give F(n) itself.  Pure integer arithmetic throughout.
+    give F(n) itself.  Pure integer arithmetic throughout, on the integers
+    ``growth`` of :func:`_growth_integers` for ``params``.
 
     With A = p + q*alpha, B = p + q*beta, cross = p^2 + pq - q^2 and
     |beta^(2m-2)| <= alpha^2 for m >= 0, the sign of n(H(m)) is frozen from
@@ -262,19 +302,16 @@ def _certify(params: AlgebraParams, p: int, q: int) -> ThresholdCertificate:
     quadratic with no rational root; so only seeds (0, 0), where A = 0,
     reach the zero check.
     """
-    HoradamParams(p, q)
-    c, x, y, z = _growth_integers(params)
-    # (2A)^2 * (2 d1 d2 S+) = gx + gy*sqrt5; its conjugate is the B side
-    a, b = 2 * p + q, q
-    ax, ay = a * a + 5 * b * b, 2 * a * b
-    gx, gy = ax * x + 5 * ay * y, ax * y + ay * x
+    gx, gy = _seeded_growth(growth, p, q)
     limit_sign = _sign_z5(gx, gy)
     if limit_sign == 0:
         raise IndeterminateError(
             f"seeded growth discriminant is zero for {params.label()} "
             f"with seeds (p, q) = ({p}, {q})"
         )
+    # the conjugate gx - gy*sqrt5 is (2B)^2 * (2 d1 d2 S-), the B side
     bounded_sign = _sign_z5(gx, -gy)
+    (c0, c1, c2, c3), _, _, z = growth
     cross = p * p + p * q - q * q
     # times 3 - sqrt5 on the growing side and 3 + sqrt5 on the bounded side
     gx, gy, bx, by = (
@@ -290,7 +327,6 @@ def _certify(params: AlgebraParams, p: int, q: int) -> ThresholdCertificate:
         bx, by = 2 * bx, 2 * by
     # direct checks: d1*d2*n(H(m)) over the window (h(m), ..., h(m+3)) of the
     # sequence seeded by (p, q), advanced by h(k+4) = h(k+2) + h(k+3)
-    c0, c1, c2, c3 = c
     h0, h1, h2, h3 = p, q, p + q, p + 2 * q
     n_prime = 0
     for m in range(horizon + 1):
@@ -310,7 +346,7 @@ def invertibility_threshold(params: AlgebraParams) -> ThresholdCertificate:
     indices up to the horizon are then checked one by one.  E is never zero
     for rational parameters (see :func:`_certify`).
     """
-    return _certify(params, 0, 1)
+    return _certify(params, _growth_integers(params), 0, 1)
 
 
 def horadam_invertibility_threshold(
@@ -324,13 +360,20 @@ def horadam_invertibility_threshold(
     A = p + q*alpha, B = p + q*beta.  Seeds (0, 0) raise
     :class:`IndeterminateError`; all other seeds certify.
     """
-    return _certify(params, p, q)
+    return _certify(params, _growth_integers(params), p, q)
 
 
 def _basis_norms(n: int, params: AlgebraParams) -> tuple[Fraction, Fraction]:
+    """(n(F(n)), n(F(n+1))) on integers: d1*d2*n(F(m)) is
+    c0*f(m)^2 + c1*f(m+1)^2 + c2*f(m+2)^2 + c3*f(m+3)^2, the quantity whose
+    sign :func:`_certify` checks, over the windows at m = n and m = n + 1
+    (one doubling pass), divided once by d1*d2 = c0."""
+    c0, c1, c2, c3 = _norm_coefficients(params)
+    a, b = fib_pair(n)
+    s0, s1, s2, s3, s4 = (f * f for f in (a, b, a + b, a + 2 * b, 2 * a + 3 * b))
     return (
-        fibonacci_quaternion(n, params).norm(),
-        fibonacci_quaternion(n + 1, params).norm(),
+        Fraction(c0 * s0 + c1 * s1 + c2 * s2 + c3 * s3, c0),
+        Fraction(c0 * s1 + c1 * s2 + c2 * s3 + c3 * s4, c0),
     )
 
 

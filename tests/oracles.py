@@ -4,7 +4,9 @@ Everything here is deliberately naive: plain recurrences, interval
 bisection, symbol-by-symbol rewriting.  None of it shares code paths with
 the package under test, except the checks of the quaternion identifications
 (``rank2_as_quaternion`` to ``basis_map_is_multiplicative``): they multiply
-with ``Quaternion``, which ``quaternion_mul_reference`` checks in turn.
+with ``Quaternion``, which ``quaternion_mul_reference`` checks in turn; and
+``fibonacci_form_reference``, which takes ``Fraction`` norms of
+``fibonacci_quaternion`` where the package evaluates the form on integers.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from math import gcd
 from fibclifford import clifford
 from fibclifford.clifford import CliffordElement
 from fibclifford.exactnum import ALPHA, BETA, QSqrt5
+from fibclifford.fibquat import fibonacci_quaternion
 from fibclifford.quat import AlgebraParams, BasisMap, Quaternion
 
 
@@ -54,6 +57,22 @@ def weighted_even_powers(b1: Fraction, b2: Fraction, x: QSqrt5) -> QSqrt5:
     x2 = x * x
     x4 = x2 * x2
     return 1 + x2 * b1 + x4 * b2 + x4 * x2 * (b1 * b2)
+
+
+def seeded_discriminant_reference(params: AlgebraParams, p: int, q: int) -> QSqrt5:
+    """E' = (p + q*alpha)^2 * E / 5 in Q(sqrt 5), with E = S+/5 evaluated
+    as its defining polynomial."""
+    e = weighted_even_powers(params.beta1, params.beta2, ALPHA) / 5
+    a = ALPHA * q + p
+    return a * a * e / 5
+
+
+def fibonacci_form_reference(n: int, params: AlgebraParams) -> tuple[Fraction, Fraction]:
+    """(n(F(n)), n(F(n+1))) as ``Fraction`` norms of the Fibonacci quaternions."""
+    return (
+        fibonacci_quaternion(n, params).norm(),
+        fibonacci_quaternion(n + 1, params).norm(),
+    )
 
 
 def sign_by_interval(x: QSqrt5) -> int:

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibclifford import cli
 from fibclifford.cli import main, run_selftest
@@ -297,6 +301,84 @@ def test_help_exits_zero(capsys):
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0
     assert "classify" in out
+
+
+# -- robustness -------------------------------------------------------------------------
+
+JUNK = ("", "-", "--", "-1", "--json=1", "--beta", "1/", "/2", "1/0", "0x10", "1e5", "+3",
+        "1_0", "nan", "\u0663", "1,,2", "1,2,3", "--p=", ",", "-0/-1", "no-such-command")
+
+ints_30_digit = st.integers(-(10**30), 10**30)
+rat_literals = st.one_of(
+    ints_30_digit.map(str),
+    st.tuples(ints_30_digit, st.integers(1, 10**30)).map(lambda nd: f"{nd[0]}/{nd[1]}"),
+)
+junk_tokens = st.one_of(st.sampled_from(JUNK), st.text(max_size=6), rat_literals)
+# each flag's literals; None for a flag without a value
+FLAG_VALUES = {
+    "--beta1": rat_literals,
+    "--beta2": rat_literals,
+    "--p": ints_30_digit.map(str),
+    "--q": ints_30_digit.map(str),
+    "--n": st.integers(-5, 10**4).map(str),
+    "--x": st.lists(rat_literals, min_size=4, max_size=4).map(",".join),
+    "--y": st.lists(rat_literals, min_size=4, max_size=4).map(",".join),
+    "--squares": st.lists(rat_literals, min_size=1, max_size=6).map(",".join),
+    "--json": None,
+    "--help": None,
+}
+GRAMMAR = {
+    "classify": ("--beta1", "--beta2", "--p", "--q", "--json"),
+    "nprime": ("--beta1", "--beta2", "--p", "--q", "--json"),
+    "fib": ("--n",),
+    "quat-mul": ("--beta1", "--beta2", "--x", "--y"),
+    "quat-norm": ("--beta1", "--beta2", "--x"),
+    "clifford-table": ("--squares", "--json"),
+    "selftest": ("--json",),
+    "no-such-command": (),
+}
+
+
+@st.composite
+def fuzz_argv(draw) -> list[str]:
+    """A command and its flags in a shuffled order, each flag dropped now and
+    then or given a junk value, with up to three junk tokens or flags
+    anywhere (``--help`` among them)."""
+    command = draw(st.sampled_from(sorted(GRAMMAR)))
+    pieces = []
+    for flag in GRAMMAR[command]:
+        if draw(st.integers(0, 9)) == 9:
+            continue
+        values = FLAG_VALUES[flag]
+        if values is None:
+            pieces.append([flag])
+        else:
+            pieces.append([flag, draw(junk_tokens if draw(st.integers(0, 19)) == 19 else values)])
+    pieces = draw(st.permutations(pieces))
+    for _ in range(max(0, draw(st.integers(-3, 3)))):
+        flag = draw(st.sampled_from(sorted(FLAG_VALUES)))
+        junk = draw(st.sampled_from([[flag], [flag, draw(junk_tokens)], [draw(junk_tokens)]]))
+        pieces.insert(draw(st.integers(0, len(pieces))), junk)
+    return [command] + [token for piece in pieces for token in piece]
+
+
+def run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(fuzz_argv())
+def test_any_argv_exits_cleanly_and_repeatably(argv):
+    """Commands, flags, literals of up to 30 digits and junk tokens in any
+    order: cli.run returns 0, 1 or 2, raises nothing, prints no traceback,
+    and a second run prints the same."""
+    first = run_captured(argv)
+    assert first[0] in (0, 1, 2)
+    assert "Traceback" not in first[2]
+    assert run_captured(argv) == first
 
 
 # -- selftest ---------------------------------------------------------------------------

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibclifford.errors import BelowThresholdError, IndeterminateError
+from fibclifford.clifford import classify, fibonacci_form
+from fibclifford.errors import BelowThresholdError, DegenerateFormError, IndeterminateError
 from fibclifford.exactnum import ALPHA, QSqrt5, _sign_z5
 from fibclifford.fibquat import (
     FibSpaceVector,
-    _certify,
     bilinear_form,
     fibonacci_quaternion,
     gram_matrix,
@@ -27,7 +27,14 @@ from fibclifford.fibquat import (
 )
 from fibclifford.quat import AlgebraParams
 from conftest import CLASS_FIXTURES
-from oracles import fib_naive, horadam_naive, reference_certificate, sign_by_interval
+from oracles import (
+    fib_naive,
+    fibonacci_form_reference,
+    horadam_naive,
+    reference_certificate,
+    seeded_discriminant_reference,
+    sign_by_interval,
+)
 from test_threshold_ladder import ladder_params
 
 H1M1 = AlgebraParams(1, -1)
@@ -125,6 +132,31 @@ def test_seeded_discriminant_factorization(p, q):
     lhs = horadam_growth_discriminant(HM2M3, p, q)
     a = ALPHA * q + p
     assert lhs == a * a * growth_discriminant(HM2M3) / 5
+
+
+def assert_seeded_discriminant_matches_reference(params, p, q):
+    """horadam_growth_discriminant and classify's E' are the Q(sqrt 5)
+    value (p + q*alpha)^2 * E / 5."""
+    expected = seeded_discriminant_reference(params, p, q)
+    assert horadam_growth_discriminant(params, p, q) == expected
+    if (p, q) != (0, 0):
+        assert classify(params, p, q).seeded_discriminant == expected
+
+
+rationals_40_digit = st.builds(
+    lambda n, d, negative: Fraction(-n if negative else n, d),
+    st.integers(1, 10**40),
+    st.integers(1, 10**40),
+    st.booleans(),
+)
+algebras_40_digit = st.builds(AlgebraParams, rationals_40_digit, rationals_40_digit)
+seeds_20_digit = st.integers(-(10**20), 10**20)
+
+
+@settings(max_examples=100, deadline=None)
+@given(algebras_40_digit, seeds_20_digit, seeds_20_digit)
+def test_seeded_discriminant_matches_reference(params, p, q):
+    assert_seeded_discriminant_matches_reference(params, p, q)
 
 
 # -- closed-form norms -----------------------------------------------------------
@@ -271,7 +303,7 @@ seed_pairs = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(algebras, seed_pairs)
 def test_integer_certificate_matches_closed_form_reference(params, seeds):
-    cert = _certify(params, *seeds)
+    cert = horadam_invertibility_threshold(params, *seeds)
     assert (cert.n_prime, cert.horizon, cert.limit_sign) == reference_certificate(
         params.beta1, params.beta2, *seeds
     )
@@ -401,6 +433,35 @@ def test_gram_matrix_values():
     matrix = gram_matrix(0, HM2M3)
     assert matrix == ((19, 0), (0, 41))
     assert matrix[0][0] * matrix[1][1] == 779
+
+
+def assert_form_matches_reference(n, params):
+    """gram_matrix and fibonacci_form carry the Fraction norms of F(n) and
+    F(n+1); a zero norm makes fibonacci_form degenerate."""
+    n0, n1 = fibonacci_form_reference(n, params)
+    assert gram_matrix(n, params) == ((n0, 0), (0, n1))
+    if n0 == 0 or n1 == 0:
+        with pytest.raises(DegenerateFormError):
+            fibonacci_form(n, params)
+    else:
+        assert fibonacci_form(n, params).squares == (n0, n1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(st.integers(0, 300), st.sampled_from((1000, 2718))),
+    st.one_of(algebras_40_digit, st.sampled_from(CLASS_FIXTURES)),
+)
+def test_form_entries_match_reference(n, params):
+    assert_form_matches_reference(n, params)
+
+
+def test_form_entry_errors_name_their_inputs():
+    with pytest.raises(ValueError, match="^sequence index must be nonnegative, got -1$"):
+        gram_matrix(-1, H1M1)
+    message = r"^degenerate at n=0 in H\(-1/2, -1/2\): diag\(0, 3/4\)$"
+    with pytest.raises(DegenerateFormError, match=message):
+        fibonacci_form(0, HALF)
 
 
 @pytest.mark.parametrize("params", CLASS_FIXTURES)

@@ -28,6 +28,10 @@ from fibclifford.cli import run_selftest
 from fibclifford.exactnum import ALPHA, BETA, QSqrt5
 from oracles import apply_basis_map, blade_table_is_quaternion_table, weighted_even_powers
 from test_clifford import assert_product_matches_reference, seeded_dense_pair
+from test_fibquat import (
+    assert_form_matches_reference,
+    assert_seeded_discriminant_matches_reference,
+)
 
 PAIR_GRID = (Fraction(2), Fraction(-1, 3))
 PAIR_GRID_2 = (Fraction(3), Fraction(-5, 2))
@@ -189,3 +193,25 @@ def test_broken_product_kernel_fails_the_reference_check(monkeypatch, old, new):
     _mutate(monkeypatch, clifford, "_product", old, new)
     with pytest.raises(AssertionError):
         assert_product_matches_reference(*seeded_dense_pair(3, seed=3))
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [("5 * ay * y", "4 * ay * y"), ("ax * y + ay * x", "ax * y - ay * x")],
+    ids=["coefficient", "sign"],
+)
+def test_perturbed_seeded_growth_fails_the_reference_check(monkeypatch, old, new):
+    _mutate(monkeypatch, fibquat, "_seeded_growth", old, new)
+    with pytest.raises(AssertionError):
+        assert_seeded_discriminant_matches_reference(quat.AlgebraParams(-2, -3), 3, -7)
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [("fib_pair(n)", "fib_pair(n + 1)"), ("2 * a + 3 * b", "3 * a + 5 * b")],
+    ids=["both-windows", "last-entry"],
+)
+def test_shifted_form_window_fails_the_reference_check(monkeypatch, old, new):
+    _mutate(monkeypatch, fibquat, "_basis_norms", old, new)
+    with pytest.raises(AssertionError):
+        assert_form_matches_reference(5, quat.AlgebraParams(Fraction(2, 3), -7))
