@@ -56,17 +56,23 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _normalize_argv(argv: list[str]) -> list[str]:
-    """Join value flags with their argument so '-1/2' is not read as a flag."""
+    """Join value flags with their argument so '-1/2' is not read as a flag.
+
+    A flag given '--' as its value is a usage error: argparse would read that
+    '--' as the end of options and hand the flag an empty list."""
     out: list[str] = []
     i = 0
     while i < len(argv):
         token = argv[i]
         if token in _VALUE_FLAGS and i + 1 < len(argv):
-            out.append(f"{token}={argv[i + 1]}")
+            token = f"{token}={argv[i + 1]}"
             i += 2
         else:
-            out.append(token)
             i += 1
+        flag, sep, value = token.partition("=")
+        if flag.startswith("--") and sep and value == "--":
+            raise _UsageError(f"argument {flag}: expected one argument")
+        out.append(token)
     return out
 
 

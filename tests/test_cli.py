@@ -303,6 +303,22 @@ def test_help_exits_zero(capsys):
     assert "classify" in out
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["classify", "--beta1", "0", "--beta2", "--"], "--beta2"),
+        (["classify", "--beta1", "0", "--beta2=--"], "--beta2"),
+        (["fib", "--n", "--"], "--n"),
+        (["clifford-table", "--squ=--"], "--squ"),
+    ],
+)
+def test_double_dash_as_a_value_is_a_usage_error(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.endswith(f"fibclifford: error: argument {flag}: expected one argument\n")
+
+
 # -- robustness -------------------------------------------------------------------------
 
 JUNK = ("", "-", "--", "-1", "--json=1", "--beta", "1/", "/2", "1/0", "0x10", "1e5", "+3",
