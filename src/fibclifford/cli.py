@@ -51,6 +51,10 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # flags are spelled in full: an abbreviation would bypass _normalize_argv
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message: str) -> None:  # noqa: A002 - argparse API
         raise _UsageError(message)
 

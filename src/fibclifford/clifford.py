@@ -72,6 +72,8 @@ def _diag(squares: tuple[Fraction, ...]) -> str:
 
 
 def blade_name(mask: int) -> str:
+    if mask < 0:
+        raise ValueError(f"blade mask {mask} is negative")
     if mask == 0:
         return "1"
     return "".join(f"e{i + 1}" for i in range(mask.bit_length()) if mask >> i & 1)

@@ -50,7 +50,7 @@ from fractions import Fraction
 from .errors import BelowThresholdError, IndeterminateError
 from .exactnum import ALPHA, BETA, QSqrt5, Rat, _sign_z5, _to_rat
 from .fib import HoradamParams, fib_pair, horadam
-from .quat import AlgebraParams, Quaternion
+from .quat import AlgebraParams, Quaternion, _norm_coefficients
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,6 +108,8 @@ class FibSpaceVector:
     x2: Fraction
 
     def __post_init__(self) -> None:
+        if not isinstance(self.n, int):
+            raise TypeError(f"basepoint must be an integer, got {self.n!r}")
         if self.n < 0:
             raise ValueError(f"basepoint must be nonnegative, got {self.n}")
         object.__setattr__(self, "x1", _to_rat(self.x1))
@@ -165,14 +167,6 @@ def horadam_quaternion(n: int, p: int, q: int, params: AlgebraParams) -> Quatern
 
 # (c, x, y, z) of :func:`_growth_integers`
 _Growth = tuple[tuple[int, int, int, int], int, int, int]
-
-
-def _norm_coefficients(params: AlgebraParams) -> tuple[int, int, int, int]:
-    """c = (d1*d2, n1*d2, n2*d1, n1*n2) = d1*d2*(1, b1, b2, b1*b2) for
-    beta_i = n_i/d_i: d1*d2*n(x) = c0*x1^2 + c1*x2^2 + c2*x3^2 + c3*x4^2."""
-    n1, d1 = params.beta1.numerator, params.beta1.denominator
-    n2, d2 = params.beta2.numerator, params.beta2.denominator
-    return d1 * d2, n1 * d2, n2 * d1, n1 * n2
 
 
 def _growth_integers(params: AlgebraParams) -> _Growth:

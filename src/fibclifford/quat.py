@@ -10,10 +10,13 @@ e4^2 = -beta1*beta2, and anticommuting imaginary units:
         e4   | e4   b1*e3     -b2*e2    -b1*b2
 
 The norm n(a) = a1^2 + b1*a2^2 + b2*a3^2 + b1*b2*a4^2 is multiplicative and
-an element is invertible exactly when its norm is nonzero.  Over the reals
-the algebra is a division algebra iff both parameters are positive; with at
-least one negative parameter it is split, although a *rational* zero divisor
-need not exist (the search helper below returns None in that case).
+an element is invertible exactly when its norm is nonzero.  With
+beta_i = n_i/d_i, d1*d2*n(a) is an integer form in the coefficients of
+:func:`_norm_coefficients`; the zero-divisor search and the certificates of
+``fibquat`` evaluate the norm on those integers.  Over the reals the algebra
+is a division algebra iff both parameters are positive; with at least one
+negative parameter it is split, although a *rational* zero divisor need not
+exist (the search helper below returns None in that case).
 """
 
 from __future__ import annotations
@@ -182,6 +185,14 @@ class Quaternion:
         return _signed_sum(zip(self.coeffs, ("1", "e2", "e3", "e4")))
 
 
+def _norm_coefficients(params: AlgebraParams) -> tuple[int, int, int, int]:
+    """c = (d1*d2, n1*d2, n2*d1, n1*n2) = d1*d2*(1, b1, b2, b1*b2) for
+    beta_i = n_i/d_i: d1*d2*n(x) = c0*x1^2 + c1*x2^2 + c2*x3^2 + c3*x4^2."""
+    n1, d1 = params.beta1.numerator, params.beta1.denominator
+    n2, d2 = params.beta2.numerator, params.beta2.denominator
+    return d1 * d2, n1 * d2, n2 * d1, n1 * n2
+
+
 def is_division_algebra(params: AlgebraParams) -> bool:
     """True iff H(beta1, beta2) is a division algebra over the reals.
 
@@ -241,9 +252,9 @@ def zero_divisor_witness(params: AlgebraParams) -> Quaternion | None:
     """A nonzero quaternion of zero norm, constructed deterministically.
 
     Tries closed forms first (1 + e_k/t whenever the matching square root is
-    rational, then e2 + t*e3), falling back to an exhaustive search over
-    integer coordinate vectors of height <= ``MAX_WITNESS_HEIGHT``.  Returns
-    None for division algebras and for split algebras whose norm form
+    rational, then e2 + t*e3), then every integer vector of height <=
+    ``MAX_WITNESS_HEIGHT`` on the integer form of :func:`_norm_coefficients`.
+    Returns None for division algebras and for split algebras whose norm form
     happens to be anisotropic over the rationals within the search bound.
     """
     if is_division_algebra(params):
@@ -258,11 +269,12 @@ def zero_divisor_witness(params: AlgebraParams) -> Quaternion | None:
     t = _rat_sqrt(-b1 / b2)
     if t is not None and t != 0:
         return Quaternion.from_coeffs(params, (0, 1, t, 0))
+    c0, c1, c2, c3 = _norm_coefficients(params)
     for height in range(1, MAX_WITNESS_HEIGHT + 1):
-        for coords in product(range(-height, height + 1), repeat=4):
-            if max(abs(c) for c in coords) != height:
-                continue
-            candidate = Quaternion.from_coeffs(params, coords)
-            if candidate.norm() == 0:
-                return candidate
+        for x1, x2, x3, x4 in product(range(-height, height + 1), repeat=4):
+            if (
+                c0 * x1 * x1 + c1 * x2 * x2 + c2 * x3 * x3 + c3 * x4 * x4 == 0
+                and max(abs(x1), abs(x2), abs(x3), abs(x4)) == height
+            ):
+                return Quaternion.from_coeffs(params, (x1, x2, x3, x4))
     return None

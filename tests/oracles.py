@@ -6,13 +6,16 @@ the package under test, except the checks of the quaternion identifications
 (``rank2_as_quaternion`` to ``basis_map_is_multiplicative``): they multiply
 with ``Quaternion``, which ``quaternion_mul_reference`` checks in turn; and
 ``fibonacci_form_reference``, which takes ``Fraction`` norms of
-``fibonacci_quaternion`` where the package evaluates the form on integers.
+``fibonacci_quaternion`` where the package evaluates the form on integers;
+and ``zero_divisor_witness_reference``, which takes the ``Fraction`` norm of
+one ``Quaternion`` per candidate where the package tests integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from itertools import product
+from math import gcd, isqrt
 
 from fibclifford import clifford
 from fibclifford.clifford import CliffordElement
@@ -268,6 +271,40 @@ def quaternion_norm_reference(x: Quaternion) -> Fraction:
     b1, b2 = x.params.beta1, x.params.beta2
     a1, a2, a3, a4 = x.coeffs
     return a1**2 + b1 * a2**2 + b2 * a3**2 + b1 * b2 * a4**2
+
+
+def _rational_sqrt(value: Fraction) -> Fraction | None:
+    if value <= 0:
+        return None
+    n, d = isqrt(value.numerator), isqrt(value.denominator)
+    return Fraction(n, d) if Fraction(n * n, d * d) == value else None
+
+
+def zero_divisor_witness_reference(params: AlgebraParams, height: int) -> Quaternion | None:
+    """``zero_divisor_witness`` searching up to ``height``, one ``Quaternion``
+    and one ``Fraction`` norm per candidate: the closed forms 1 + e_k/t and
+    e2 + t*e3 first, then the shells of integer vectors of each height in
+    ``itertools.product`` order."""
+    b1, b2 = params.beta1, params.beta2
+    if b1 > 0 and b2 > 0:
+        return None
+    for slot, value in enumerate((-b1, -b2, -b1 * b2), start=1):
+        t = _rational_sqrt(value)
+        if t is not None:
+            coeffs = [1, 0, 0, 0]
+            coeffs[slot] = 1 / t
+            return Quaternion.from_coeffs(params, coeffs)
+    t = _rational_sqrt(-b1 / b2)
+    if t is not None:
+        return Quaternion.from_coeffs(params, (0, 1, t, 0))
+    for h in range(1, height + 1):
+        for coords in product(range(-h, h + 1), repeat=4):
+            if max(abs(c) for c in coords) != h:
+                continue
+            candidate = Quaternion.from_coeffs(params, coords)
+            if candidate.norm() == 0:
+                return candidate
+    return None
 
 
 def parse_signed_sum(text: str) -> dict[str, Fraction]:

@@ -319,6 +319,21 @@ def test_double_dash_as_a_value_is_a_usage_error(capsys, argv, flag):
     assert err.endswith(f"fibclifford: error: argument {flag}: expected one argument\n")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["clifford-table", "--squ", "1,2"], "the following arguments are required: --squares"),
+        (["clifford-table", "--squ", "-1,2"], "the following arguments are required: --squares"),
+        (["classify", "--beta1", "1", "--beta2", "2", "--js"], "unrecognized arguments: --js"),
+    ],
+)
+def test_abbreviated_flags_are_usage_errors(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.endswith(f"fibclifford: error: {message}\n")
+
+
 # -- robustness -------------------------------------------------------------------------
 
 JUNK = ("", "-", "--", "-1", "--json=1", "--beta", "1/", "/2", "1/0", "0x10", "1e5", "+3",

@@ -142,6 +142,9 @@ def test_domain_errors_name_their_inputs():
         blade_product(-1, 0, form)
     with pytest.raises(ValueError, match=r"^blade mask 7 out of range for rank 2$"):
         CliffordElement.blade(form, 7)
+    for mask in (-1, -6):
+        with pytest.raises(ValueError, match=rf"^blade mask {mask} is negative$"):
+            blade_name(mask)
 
 
 @settings(max_examples=40)

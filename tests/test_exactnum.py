@@ -61,6 +61,8 @@ def test_to_rat_rejects_inexact_and_textual_values(bad):
         lambda: scale_isomorphism(H11, 0.5, 1),
         lambda: QSqrt5(Decimal("0.5"), 0),
         lambda: FibSpaceVector(0, 0.1, "1/3"),
+        lambda: FibSpaceVector(1.5, 1, 2),
+        lambda: FibSpaceVector("2", 1, 2),
         lambda: format_rat(0.1),
     ],
     ids=[
@@ -73,6 +75,8 @@ def test_to_rat_rejects_inexact_and_textual_values(bad):
         "scale",
         "qsqrt5",
         "vector",
+        "vector-float-basepoint",
+        "vector-text-basepoint",
         "format-rat",
     ],
 )

@@ -32,6 +32,7 @@ from test_fibquat import (
     assert_form_matches_reference,
     assert_seeded_discriminant_matches_reference,
 )
+from test_quat import assert_witness_matches_reference
 
 PAIR_GRID = (Fraction(2), Fraction(-1, 3))
 PAIR_GRID_2 = (Fraction(3), Fraction(-5, 2))
@@ -215,3 +216,14 @@ def test_shifted_form_window_fails_the_reference_check(monkeypatch, old, new):
     _mutate(monkeypatch, fibquat, "_basis_norms", old, new)
     with pytest.raises(AssertionError):
         assert_form_matches_reference(5, quat.AlgebraParams(Fraction(2, 3), -7))
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [("c3 * x4 * x4", "c2 * x4 * x4"), ("== height", "<= height")],
+    ids=["wrong-coefficient", "zero-vector"],
+)
+def test_broken_witness_search_fails_the_reference_check(monkeypatch, old, new):
+    _mutate(monkeypatch, quat, "zero_divisor_witness", old, new)
+    with pytest.raises(AssertionError):
+        assert_witness_matches_reference(quat.AlgebraParams(-2, -7))

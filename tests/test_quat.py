@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fibclifford import quat as quat_module
 from fibclifford.errors import MixedAlgebrasError, NotInvertibleError, ZeroScaleError
 from fibclifford.quat import (
     AlgebraParams,
@@ -20,6 +21,7 @@ from oracles import (
     basis_map_is_multiplicative,
     quaternion_mul_reference,
     quaternion_norm_reference,
+    zero_divisor_witness_reference,
 )
 
 H11 = AlgebraParams(1, 1)
@@ -196,6 +198,46 @@ def test_split_algebras_yield_zero_divisor_witness(params):
     assert witness.norm() == 0
     with pytest.raises(NotInvertibleError):
         witness.inverse()
+    assert_witness_matches_reference(params)
+
+
+def assert_witness_matches_reference(params: AlgebraParams) -> None:
+    """The library's witness, or None, equals the per-candidate reference
+    search at the library's current ``MAX_WITNESS_HEIGHT``."""
+    got = quat_module.zero_divisor_witness(params)
+    want = zero_divisor_witness_reference(params, quat_module.MAX_WITNESS_HEIGHT)
+    assert (got and got.coeffs) == (want and want.coeffs), params
+
+
+small_nonzero = st.builds(
+    Fraction, st.integers(-12, 12).filter(lambda n: n != 0), st.integers(1, 6)
+)
+split_params = st.builds(AlgebraParams, small_nonzero, small_nonzero).filter(
+    lambda p: not is_division_algebra(p)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(split_params)
+def test_witness_search_matches_reference_at_height_3(params):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quat_module, "MAX_WITNESS_HEIGHT", 3)
+        assert_witness_matches_reference(params)
+
+
+@pytest.mark.parametrize(
+    "params,coeffs",
+    [(AlgebraParams(-2, -7), (-1, -2, -1, -1)), (AlgebraParams(-3, -6), (0, -2, -1, -1))],
+)
+def test_full_height_search_witnesses(params, coeffs):
+    assert zero_divisor_witness(params).coeffs == coeffs
+    assert_witness_matches_reference(params)
+
+
+@pytest.mark.parametrize("params", [HM2M3, AlgebraParams(-5, -6)])
+def test_full_height_search_finds_no_witness(params):
+    assert quat_module.MAX_WITNESS_HEIGHT == 8
+    assert zero_divisor_witness(params) is None
 
 
 # -- scaling isomorphism --------------------------------------------------------
