@@ -124,6 +124,7 @@ def _index(text: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="fibclifford", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # subcommand name -> its parser, for usage lines
 
     def algebra_flags(p: argparse.ArgumentParser, seeds: bool = False) -> None:
         p.add_argument("--beta1", type=_arg("--beta1", parse_rat), required=True)
@@ -452,7 +453,8 @@ def run(argv: list[str]) -> int:
         ns = parser.parse_args(_normalize_argv(list(argv)))
         return ns.func(ns)
     except _UsageError as exc:
-        parser.print_usage(sys.stderr)
+        name = next((a for a in argv if not a.startswith("-")), None)
+        parser.commands.get(name, parser).print_usage(sys.stderr)
         print(f"fibclifford: error: {exc}", file=sys.stderr)
         return 1
     except _CapError as exc:

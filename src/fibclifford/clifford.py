@@ -6,7 +6,8 @@ Convention: generators square to the *raw* diagonal entries, g_i^2 = q_i
 (so a negative definite form diag(-1, -1) yields the Hamilton quaternions).
 Basis blades are the 2^n ordered products of distinct generators, encoded
 as bitmasks; the product of two blades is another blade up to a rational
-coefficient, computed by counting generator transpositions.
+coefficient, computed by counting generator transpositions; elements
+multiply on the integer blade kernel ``quat._product``, shared with quaternions.
 
 For a rank-2 form diag(a, b) the algebra is exactly the generalized
 quaternion algebra H(-a, -b) under 1 -> 1, g1 -> e2, g2 -> e3,
@@ -19,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm, prod
 
 from .errors import DegenerateFormError, MixedFormsError
 from .exactnum import QSqrt5, Rat, _signed_sum, _to_rat, format_rat
@@ -31,7 +31,7 @@ from .fibquat import (
     _e_prime,
     _growth_integers,
 )
-from .quat import AlgebraParams, is_division_algebra
+from .quat import AlgebraParams, _product, _reorder_parity, is_division_algebra
 
 MAX_GENERATORS = 16
 
@@ -79,23 +79,6 @@ def blade_name(mask: int) -> str:
     return "".join(f"e{i + 1}" for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def _reorder_parity(mask: int) -> int:
-    """XOR of ``mask >> k`` over k >= 1: bit j is the parity of the number of
-    generators of ``mask`` above generator j.
-
-    Moving the generators of a blade ``b`` leftward past those of ``mask``
-    into sorted order takes one transposition per pair (i in mask, j in b)
-    with i > j, so ``e_mask * e_b`` has the sign ``(-1)**popcount(P & b)``
-    with ``P = _reorder_parity(mask)``.
-    """
-    parity = 0
-    mask >>= 1
-    while mask:
-        parity ^= mask
-        mask >>= 1
-    return parity
-
-
 def blade_product(
     mask_a: int, mask_b: int, form: DiagonalForm
 ) -> tuple[Fraction, int]:
@@ -116,51 +99,6 @@ def blade_product(
         coeff *= form[low.bit_length() - 1]
         common ^= low
     return coeff, mask_a ^ mask_b
-
-
-def _integer_support(coeffs: tuple[Fraction, ...]) -> tuple[list[tuple[int, int]], int]:
-    """The nonzero blades of an element as (mask, integer) pairs, scaled by
-    the lcm ``d`` of their denominators, and ``d``."""
-    support = [(mask, c) for mask, c in enumerate(coeffs) if c]
-    d = lcm(*(c.denominator for _, c in support))
-    return [(mask, c.numerator * (d // c.denominator)) for mask, c in support], d
-
-
-def _product(
-    form: DiagonalForm, x: tuple[Fraction, ...], y: tuple[Fraction, ...]
-) -> tuple[Fraction, ...]:
-    """Coefficients of the product of two elements, computed on integers
-    over their nonzero blades.
-
-    Each operand is scaled to integers by the lcm of its denominators
-    (dx, dy).  With squares s_k = n_k/d_k and T = prod d_k, the generators
-    c common to two blades contract to M(c)/T, where
-    M(c) = prod_{k in c} n_k * prod_{k not in c} d_k is an integer,
-    memoised per c for this call.  Every term lands on an integer slot,
-    and the slots are divided once by dx*dy*T at the end.
-    """
-    xs, dx = _integer_support(x)
-    ys, dy = _integer_support(y)
-    squares = [(s.numerator, s.denominator) for s in form.squares]
-    metric: dict[int, int] = {}
-    acc = [0] * form.dim
-    for i, a in xs:
-        parity = _reorder_parity(i)
-        for j, b in ys:
-            common = i & j
-            m = metric.get(common)
-            if m is None:
-                m = metric[common] = prod(
-                    n if common >> k & 1 else d for k, (n, d) in enumerate(squares)
-                )
-            term = a * b * m
-            if (parity & j).bit_count() & 1:
-                acc[i ^ j] -= term
-            else:
-                acc[i ^ j] += term
-    den = dx * dy * prod(d for _, d in squares)
-    zero = Fraction(0)
-    return tuple(Fraction(v, den) if v else zero for v in acc)
 
 
 @dataclass(frozen=True, slots=True)
@@ -237,7 +175,7 @@ class CliffordElement:
         if not isinstance(other, CliffordElement):
             return NotImplemented
         self._require_same_form(other)
-        return CliffordElement(self.form, _product(self.form, self.coeffs, other.coeffs))
+        return CliffordElement(self.form, _product(self.form.squares, self.coeffs, other.coeffs))
 
     def __rmul__(self, other: Rat | int) -> CliffordElement:
         if isinstance(other, (int, Fraction)):

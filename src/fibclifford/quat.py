@@ -9,14 +9,17 @@ e4^2 = -beta1*beta2, and anticommuting imaginary units:
         e3   | e3   -e4       -b2       b2*e2
         e4   | e4   b1*e3     -b2*e2    -b1*b2
 
+As Cl(diag(-beta1, -beta2)) with blades (1, g1, g2, g1g2) = (1, e2, e3, e4),
+it multiplies on :func:`_product`, the integer blade kernel of ``clifford``.
+
 The norm n(a) = a1^2 + b1*a2^2 + b2*a3^2 + b1*b2*a4^2 is multiplicative and
 an element is invertible exactly when its norm is nonzero.  With
-beta_i = n_i/d_i, d1*d2*n(a) is an integer form in the coefficients of
-:func:`_norm_coefficients`; the zero-divisor search and the certificates of
-``fibquat`` evaluate the norm on those integers.  Over the reals the algebra
-is a division algebra iff both parameters are positive; with at least one
-negative parameter it is split, although a *rational* zero divisor need not
-exist (the search helper below returns None in that case).
+beta_i = n_i/d_i, d1*d2*n(a) is the integer form of :func:`_norm_coefficients`,
+which the norm, the zero-divisor search and ``fibquat``'s certificates
+evaluate.  Over the reals the algebra is a division algebra iff both
+parameters are positive; with at least one negative parameter it is split,
+although a *rational* zero divisor need not exist (the search helper below
+returns None in that case).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import isqrt
+from math import isqrt, lcm, prod
 
 from .errors import (
     DegenerateAlgebraError,
@@ -133,15 +136,7 @@ class Quaternion:
             return NotImplemented
         self._require_same_algebra(other)
         b1, b2 = self.params.beta1, self.params.beta2
-        x1, x2, x3, x4 = self.coeffs
-        y1, y2, y3, y4 = other.coeffs
-        return Quaternion(
-            self.params,
-            x1 * y1 - b1 * x2 * y2 - b2 * x3 * y3 - b1 * b2 * x4 * y4,
-            x1 * y2 + x2 * y1 + b2 * (x3 * y4 - x4 * y3),
-            x1 * y3 + x3 * y1 + b1 * (x4 * y2 - x2 * y4),
-            x1 * y4 + x4 * y1 + x2 * y3 - x3 * y2,
-        )
+        return Quaternion(self.params, *_product((-b1, -b2), self.coeffs, other.coeffs))
 
     def __rmul__(self, other: Rat | int) -> Quaternion:
         if isinstance(other, (int, Fraction)):
@@ -153,14 +148,10 @@ class Quaternion:
         return Quaternion(self.params, self.a1, -self.a2, -self.a3, -self.a4)
 
     def norm(self) -> Fraction:
-        """a1^2 + b1*a2^2 + b2*a3^2 + b1*b2*a4^2 (multiplicative)."""
-        b1, b2 = self.params.beta1, self.params.beta2
-        return (
-            self.a1 * self.a1
-            + b1 * self.a2 * self.a2
-            + b2 * self.a3 * self.a3
-            + b1 * b2 * self.a4 * self.a4
-        )
+        """a1^2 + b1*a2^2 + b2*a3^2 + b1*b2*a4^2 on the integers of :func:`_norm_coefficients`."""
+        c = _norm_coefficients(self.params)
+        support, d = _integer_support(self.coeffs)
+        return Fraction(sum(c[k] * v * v for k, v in support), c[0] * d * d)
 
     def inverse(self) -> Quaternion:
         n = self.norm()
@@ -191,6 +182,69 @@ def _norm_coefficients(params: AlgebraParams) -> tuple[int, int, int, int]:
     n1, d1 = params.beta1.numerator, params.beta1.denominator
     n2, d2 = params.beta2.numerator, params.beta2.denominator
     return d1 * d2, n1 * d2, n2 * d1, n1 * n2
+
+
+def _reorder_parity(mask: int) -> int:
+    """XOR of ``mask >> k`` over k >= 1: bit j is the parity of the number of
+    generators of ``mask`` above generator j.
+
+    Moving the generators of a blade ``b`` leftward past those of ``mask``
+    into sorted order takes one transposition per pair (i in mask, j in b)
+    with i > j, so ``e_mask * e_b`` has the sign ``(-1)**popcount(P & b)``
+    with ``P = _reorder_parity(mask)``.
+    """
+    parity = 0
+    mask >>= 1
+    while mask:
+        parity ^= mask
+        mask >>= 1
+    return parity
+
+
+def _integer_support(coeffs: tuple[Fraction, ...]) -> tuple[list[tuple[int, int]], int]:
+    """The nonzero coefficients of an element as (blade mask, integer)
+    pairs, scaled by the lcm ``d`` of their denominators, and ``d``."""
+    support = [(mask, c) for mask, c in enumerate(coeffs) if c]
+    d = lcm(*(c.denominator for _, c in support))
+    return [(mask, c.numerator * (d // c.denominator)) for mask, c in support], d
+
+
+def _product(
+    squares: tuple[Fraction, ...], x: tuple[Fraction, ...], y: tuple[Fraction, ...]
+) -> tuple[Fraction, ...]:
+    """Coefficients of the product of two elements of the Clifford algebra
+    whose generators square to ``squares``, computed on integers over their
+    nonzero blades.
+
+    Each operand is scaled to integers by the lcm of its denominators
+    (dx, dy).  With squares s_k = n_k/d_k and T = prod d_k, the generators
+    c common to two blades contract to M(c)/T, where
+    M(c) = prod_{k in c} n_k * prod_{k not in c} d_k is an integer,
+    memoised per c for this call.  Every term lands on an integer slot,
+    and the slots are divided once by dx*dy*T at the end.
+    """
+    xs, dx = _integer_support(x)
+    ys, dy = _integer_support(y)
+    parts = [(s.numerator, s.denominator) for s in squares]
+    metric: dict[int, int] = {}
+    acc = [0] * (1 << len(squares))
+    for i, a in xs:
+        parity = _reorder_parity(i)
+        for j, b in ys:
+            common = i & j
+            m = metric.get(common)
+            if m is None:
+                m = metric[common] = prod(
+                    n if common >> k & 1 else d for k, (n, d) in enumerate(parts)
+                )
+            term = a * b * m
+            if (parity & j).bit_count() & 1:
+                acc[i ^ j] -= term
+            else:
+                acc[i ^ j] += term
+    den = dx * dy * prod(d for _, d in parts)
+    zero = Fraction(0)
+    return tuple(Fraction(v, den) if v else zero for v in acc)
 
 
 def is_division_algebra(params: AlgebraParams) -> bool:

@@ -5,10 +5,10 @@ bisection, symbol-by-symbol rewriting.  None of it shares code paths with
 the package under test, except the checks of the quaternion identifications
 (``rank2_as_quaternion`` to ``basis_map_is_multiplicative``): they multiply
 with ``Quaternion``, which ``quaternion_mul_reference`` checks in turn; and
-``fibonacci_form_reference``, which takes ``Fraction`` norms of
-``fibonacci_quaternion`` where the package evaluates the form on integers;
-and ``zero_divisor_witness_reference``, which takes the ``Fraction`` norm of
-one ``Quaternion`` per candidate where the package tests integers.
+``fibonacci_form_reference`` and ``zero_divisor_witness_reference``, which
+build their quaternions with the package but take every norm with
+``quaternion_norm_reference``, a ``Fraction`` formula, where the package
+evaluates the integer norm form.
 """
 
 from __future__ import annotations
@@ -73,8 +73,8 @@ def seeded_discriminant_reference(params: AlgebraParams, p: int, q: int) -> QSqr
 def fibonacci_form_reference(n: int, params: AlgebraParams) -> tuple[Fraction, Fraction]:
     """(n(F(n)), n(F(n+1))) as ``Fraction`` norms of the Fibonacci quaternions."""
     return (
-        fibonacci_quaternion(n, params).norm(),
-        fibonacci_quaternion(n + 1, params).norm(),
+        quaternion_norm_reference(fibonacci_quaternion(n, params)),
+        quaternion_norm_reference(fibonacci_quaternion(n + 1, params)),
     )
 
 
@@ -195,7 +195,9 @@ def blade_table_is_quaternion_table(form: clifford.DiagonalForm) -> bool:
     """True iff the blade products of the rank-2 ``form`` map onto the basis
     products of H(-a, -b) on all 16 pairs (hence everywhere, by bilinearity).
     ``blade_product`` is read through its module, so a test that patches
-    ``clifford.blade_product`` reaches this check."""
+    ``clifford.blade_product`` reaches this check.  Both sides take their
+    signs from ``quat._reorder_parity``, so a fault there passes this check;
+    the explicit basis table of ``quaternion_mul_reference`` catches it."""
     images = Quaternion.basis(clifford.quaternion_isomorphism(form))
     for i in range(4):
         for j in range(4):
@@ -252,7 +254,7 @@ def _basis_table(params: AlgebraParams) -> dict[tuple[int, int], tuple[Fraction,
 
 def quaternion_mul_reference(x: Quaternion, y: Quaternion) -> Quaternion:
     """Bilinear extension of the explicit basis table; independent of the
-    component formulas used by Quaternion.__mul__."""
+    blade kernel that Quaternion.__mul__ shares with CliffordElement."""
     assert x.params == y.params
     table = _basis_table(x.params)
     out = [Fraction(0)] * 4
@@ -268,6 +270,7 @@ def quaternion_mul_reference(x: Quaternion, y: Quaternion) -> Quaternion:
 
 
 def quaternion_norm_reference(x: Quaternion) -> Fraction:
+    """a1^2 + b1*a2^2 + b2*a3^2 + b1*b2*a4^2 in ``Fraction``s."""
     b1, b2 = x.params.beta1, x.params.beta2
     a1, a2, a3, a4 = x.coeffs
     return a1**2 + b1 * a2**2 + b2 * a3**2 + b1 * b2 * a4**2
@@ -302,7 +305,7 @@ def zero_divisor_witness_reference(params: AlgebraParams, height: int) -> Quater
             if max(abs(c) for c in coords) != h:
                 continue
             candidate = Quaternion.from_coeffs(params, coords)
-            if candidate.norm() == 0:
+            if quaternion_norm_reference(candidate) == 0:
                 return candidate
     return None
 

@@ -334,6 +334,24 @@ def test_abbreviated_flags_are_usage_errors(capsys, argv, message):
     assert err.endswith(f"fibclifford: error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, usage",
+    [
+        (["clifford-table", "--squ", "1,2"], "usage: fibclifford clifford-table [-h]"),
+        (["classify", "--beta1", "1"], "usage: fibclifford classify [-h]"),
+        (["clifford-table", "--squares", "1,2,3,4,5,6,7,8,9"],
+         "usage: fibclifford clifford-table [-h]"),
+        (["no-such-command"], "usage: fibclifford [-h]"),
+    ],
+    ids=["abbreviated-flag", "missing-flag", "handler", "no-command"],
+)
+def test_usage_error_prints_the_usage_of_its_subcommand(capsys, argv, usage):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(usage)
+
+
 # -- robustness -------------------------------------------------------------------------
 
 JUNK = ("", "-", "--", "-1", "--json=1", "--beta", "1/", "/2", "1/0", "0x10", "1e5", "+3",

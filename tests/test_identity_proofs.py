@@ -26,7 +26,12 @@ import pytest
 from fibclifford import clifford, fibquat, quat
 from fibclifford.cli import run_selftest
 from fibclifford.exactnum import ALPHA, BETA, QSqrt5
-from oracles import apply_basis_map, blade_table_is_quaternion_table, weighted_even_powers
+from oracles import (
+    apply_basis_map,
+    blade_table_is_quaternion_table,
+    quaternion_mul_reference,
+    weighted_even_powers,
+)
 from test_clifford import assert_product_matches_reference, seeded_dense_pair
 from test_fibquat import (
     assert_form_matches_reference,
@@ -191,9 +196,20 @@ def test_wrong_scaling_image_fails_the_proof(monkeypatch):
     ids=["flipped-parity", "no-metric-factor"],
 )
 def test_broken_product_kernel_fails_the_reference_check(monkeypatch, old, new):
-    _mutate(monkeypatch, clifford, "_product", old, new)
+    _mutate(monkeypatch, quat, "_product", old, new)
     with pytest.raises(AssertionError):
         assert_product_matches_reference(*seeded_dense_pair(3, seed=3))
+
+
+def test_broken_sign_rule_fails_the_quaternion_reference_and_selftest(monkeypatch):
+    """Dropping the first shift counts each generator of the left blade as
+    lying above itself.  Blade products and quaternion products share that
+    sign rule, so ``blade_table_is_quaternion_table`` still holds; the
+    explicit basis tables of the reference and of selftest catch it."""
+    _mutate(monkeypatch, quat, "_reorder_parity", "    mask >>= 1\n    while", "    while")
+    basis = quat.Quaternion.basis(quat.AlgebraParams(2, Fraction(-5, 3)))
+    assert any(u * v != quaternion_mul_reference(u, v) for u in basis for v in basis)
+    assert not _multiplication_table_passes()
 
 
 @pytest.mark.parametrize(

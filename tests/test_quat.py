@@ -81,8 +81,10 @@ def test_all_basis_products_match_reference_table(params):
 
 
 @settings(max_examples=40)
-@given(quats(H1M1), quats(H1M1))
-def test_general_products_match_reference(x, y):
+@given(params_strategy, st.data())
+def test_general_products_match_reference(params, data):
+    x = data.draw(quats(params))
+    y = data.draw(quats(params))
     assert x * y == quaternion_mul_reference(x, y)
 
 
