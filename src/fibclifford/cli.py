@@ -33,7 +33,6 @@ from .fibquat import (
     bilinear_form,
     growth_profile,
     horadam_invertibility_threshold,
-    invertibility_threshold,
     quadratic_form,
 )
 from .quat import AlgebraParams, Quaternion
@@ -211,10 +210,8 @@ def _cmd_classify(ns: argparse.Namespace) -> int:
 def _cmd_nprime(ns: argparse.Namespace) -> int:
     _check_seeds(ns)
     params = AlgebraParams(ns.beta1, ns.beta2)
-    if ns.p is not None:
-        cert = horadam_invertibility_threshold(params, ns.p, ns.q)
-    else:
-        cert = invertibility_threshold(params)
+    p, q = (0, 1) if ns.p is None else (ns.p, ns.q)
+    cert = horadam_invertibility_threshold(params, p, q)
     if ns.json:
         print(json.dumps(cert.to_json()))
     else:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactnum import ALPHA, BETA, SQRT5, QSqrt5
+from .exactnum import ALPHA, BETA, SQRT5, QSqrt5, Rat
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,18 +58,23 @@ def lucas(n: int) -> int:
     return 2 * b - a
 
 
+def _window(n: int, p: Rat | int, q: Rat | int) -> tuple[Rat | int, ...]:
+    """(h(n), ..., h(n+4)) seeded by h(0) = p, h(1) = q, for any exact seeds:
+    h(n) = p*f(n-1) + q*f(n) with f(-1) = 1, from one doubling pass.  The one
+    route to seeded terms, Horadam and Fibonacci quaternions and basis norms."""
+    a, b = fib_pair(n)
+    h0, h1 = p * (b - a) + q * a, p * a + q * b
+    h2 = h0 + h1
+    return h0, h1, h2, h1 + h2, h1 + 2 * h2
+
+
 def horadam(n: int, seeds: HoradamParams) -> int:
     """n-th term of the sequence with h(0) = p, h(1) = q, h(n) = h(n-1) + h(n-2).
 
-    For n >= 1 the term collapses onto Fibonacci numbers as
-    ``h(n) = p*f(n-1) + q*f(n)``; the recurrence itself is kept as the
-    oracle in the tests.
+    ``h(n) = p*f(n-1) + q*f(n)`` for every n >= 0, with f(-1) = 1, read off
+    the one route :func:`_window`; the recurrence is the tests' oracle.
     """
-    _check_index(n)
-    if n == 0:
-        return seeds.p
-    a, b = _pair(n - 1)
-    return seeds.p * a + seeds.q * b
+    return _window(n, seeds.p, seeds.q)[0]
 
 
 def binet(n: int) -> QSqrt5:

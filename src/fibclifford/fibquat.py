@@ -36,10 +36,10 @@ integer d1*d2*n(.) by d1*d2.  ``classify`` evaluates the growth integers
 once and hands them to both certificates.
 
 Horadam quaternions H(n; p, q) carry coefficients (h(n), ..., h(n+3)) of the
-seeded sequence h(0) = p, h(1) = q.  For n >= 1 this equals
-p*F(n-1) + q*F(n); the coordinate space at basepoint n uses the basis
-{F(n), F(n+1)}, so a coordinate vector (x1, x2) at basepoint n corresponds
-to the Horadam quaternion H(n+1; x1, x2).
+seeded sequence h(0) = p, h(1) = q, read off ``fib._window`` like every
+seeded window here.  For n >= 0 it is p*F(n-1) + q*F(n), F(-1) = (1, 0, 1, 1);
+the coordinate space at basepoint n uses the basis {F(n), F(n+1)}, so a
+coordinate vector (x1, x2) at basepoint n is H(n+1; x1, x2).
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from fractions import Fraction
 
 from .errors import BelowThresholdError, IndeterminateError
 from .exactnum import ALPHA, BETA, QSqrt5, Rat, _sign_z5, _to_rat
-from .fib import HoradamParams, fib_pair, horadam
+from .fib import HoradamParams, _window
 from .quat import AlgebraParams, Quaternion, _norm_coefficients
 
 
@@ -142,27 +142,23 @@ class FibSpaceVector:
         return self.x1 == 0 and self.x2 == 0
 
     def to_quaternion(self, params: AlgebraParams) -> Quaternion:
-        """x1*F(n) + x2*F(n+1); linear and injective in (x1, x2)."""
-        return (
-            fibonacci_quaternion(self.n, params) * self.x1
-            + fibonacci_quaternion(self.n + 1, params) * self.x2
-        )
+        """x1*F(n) + x2*F(n+1) = H(n+1; x1, x2); linear and injective in (x1, x2)."""
+        return Quaternion(params, *_window(self.n + 1, self.x1, self.x2)[:4])
 
 
 def fibonacci_quaternion(n: int, params: AlgebraParams) -> Quaternion:
     """F(n) with coefficients (f(n), f(n+1), f(n+2), f(n+3))."""
-    a, b = fib_pair(n)
-    return Quaternion(params, a, b, a + b, a + 2 * b)
+    return Quaternion(params, *_window(n, 0, 1)[:4])
 
 
 def horadam_quaternion(n: int, p: int, q: int, params: AlgebraParams) -> Quaternion:
     """H(n; p, q) with coefficients (h(n), ..., h(n+3)), h seeded by (p, q).
 
-    For n >= 1 this is p*F(n-1) + q*F(n); the test suite checks that
-    identity, for small n and for n >= 1000.
+    For every n >= 0 this is p*F(n-1) + q*F(n), from one ``fib._window``;
+    the test suite checks that identity, for small n and for n >= 1000.
     """
-    seeds = HoradamParams(p, q)
-    return Quaternion(params, *(horadam(n + j, seeds) for j in range(4)))
+    HoradamParams(p, q)
+    return Quaternion(params, *_window(n, p, q)[:4])
 
 
 # (c, x, y, z) of :func:`_growth_integers`
@@ -321,7 +317,7 @@ def _certify(
         bx, by = 2 * bx, 2 * by
     # direct checks: d1*d2*n(H(m)) over the window (h(m), ..., h(m+3)) of the
     # sequence seeded by (p, q), advanced by h(k+4) = h(k+2) + h(k+3)
-    h0, h1, h2, h3 = p, q, p + q, p + 2 * q
+    h0, h1, h2, h3, _ = _window(0, p, q)
     n_prime = 0
     for m in range(horizon + 1):
         value = c0 * h0 * h0 + c1 * h1 * h1 + c2 * h2 * h2 + c3 * h3 * h3
@@ -361,10 +357,9 @@ def _basis_norms(n: int, params: AlgebraParams) -> tuple[Fraction, Fraction]:
     """(n(F(n)), n(F(n+1))) on integers: d1*d2*n(F(m)) is
     c0*f(m)^2 + c1*f(m+1)^2 + c2*f(m+2)^2 + c3*f(m+3)^2, the quantity whose
     sign :func:`_certify` checks, over the windows at m = n and m = n + 1
-    (one doubling pass), divided once by d1*d2 = c0."""
+    (the five terms of one :func:`fib._window`), divided once by d1*d2 = c0."""
     c0, c1, c2, c3 = _norm_coefficients(params)
-    a, b = fib_pair(n)
-    s0, s1, s2, s3, s4 = (f * f for f in (a, b, a + b, a + 2 * b, 2 * a + 3 * b))
+    s0, s1, s2, s3, s4 = (f * f for f in _window(n, 0, 1))
     return (
         Fraction(c0 * s0 + c1 * s1 + c2 * s2 + c3 * s3, c0),
         Fraction(c0 * s1 + c1 * s2 + c2 * s3 + c3 * s4, c0),

@@ -10,7 +10,7 @@ e4^2 = -beta1*beta2, and anticommuting imaginary units:
         e4   | e4   b1*e3     -b2*e2    -b1*b2
 
 As Cl(diag(-beta1, -beta2)) with blades (1, g1, g2, g1g2) = (1, e2, e3, e4),
-it multiplies on :func:`_product`, the integer blade kernel of ``clifford``.
+it multiplies on :func:`_product`, the integer blade kernel ``clifford`` shares.
 
 The norm n(a) = a1^2 + b1*a2^2 + b2*a3^2 + b1*b2*a4^2 is multiplicative and
 an element is invertible exactly when its norm is nonzero.  With

@@ -6,9 +6,9 @@ the package under test, except the checks of the quaternion identifications
 (``rank2_as_quaternion`` to ``basis_map_is_multiplicative``): they multiply
 with ``Quaternion``, which ``quaternion_mul_reference`` checks in turn; and
 ``fibonacci_form_reference`` and ``zero_divisor_witness_reference``, which
-build their quaternions with the package but take every norm with
-``quaternion_norm_reference``, a ``Fraction`` formula, where the package
-evaluates the integer norm form.
+build ``Quaternion`` values (the first from ``fib_naive`` windows) but take
+every norm with ``quaternion_norm_reference``, a ``Fraction`` formula, where
+the package evaluates the integer norm form.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from math import gcd, isqrt
 from fibclifford import clifford
 from fibclifford.clifford import CliffordElement
 from fibclifford.exactnum import ALPHA, BETA, QSqrt5
-from fibclifford.fibquat import fibonacci_quaternion
 from fibclifford.quat import AlgebraParams, BasisMap, Quaternion
 
 
@@ -71,10 +70,12 @@ def seeded_discriminant_reference(params: AlgebraParams, p: int, q: int) -> QSqr
 
 
 def fibonacci_form_reference(n: int, params: AlgebraParams) -> tuple[Fraction, Fraction]:
-    """(n(F(n)), n(F(n+1))) as ``Fraction`` norms of the Fibonacci quaternions."""
+    """(n(F(n)), n(F(n+1))) as ``Fraction`` norms of the Fibonacci quaternions,
+    their windows counted by ``fib_naive`` rather than the package's doubling."""
+    window = [fib_naive(n + j) for j in range(5)]
     return (
-        quaternion_norm_reference(fibonacci_quaternion(n, params)),
-        quaternion_norm_reference(fibonacci_quaternion(n + 1, params)),
+        quaternion_norm_reference(Quaternion(params, *window[:4])),
+        quaternion_norm_reference(Quaternion(params, *window[1:])),
     )
 
 

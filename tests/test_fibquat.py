@@ -25,7 +25,7 @@ from fibclifford.fibquat import (
     norm_closed_form,
     quadratic_form,
 )
-from fibclifford.quat import AlgebraParams
+from fibclifford.quat import AlgebraParams, Quaternion
 from conftest import CLASS_FIXTURES
 from oracles import (
     fib_naive,
@@ -335,6 +335,19 @@ def test_coordinate_map_is_injective(n, p, q):
     vector = FibSpaceVector(n, p, q)
     image = vector.to_quaternion(HM2M3)
     assert image.is_zero() == vector.is_zero()
+
+
+@settings(max_examples=50)
+@given(
+    st.integers(min_value=0, max_value=40),
+    st.fractions(min_value=-50, max_value=50, max_denominator=30),
+    st.fractions(min_value=-50, max_value=50, max_denominator=30),
+)
+def test_rational_coordinates_map_to_fibonacci_combination(n, x1, x2):
+    """x1*F(n) + x2*F(n+1) with both quaternions counted by ``fib_naive``:
+    the coordinate map reads one seeded window at ``Fraction`` seeds."""
+    f_n, f_n1 = (Quaternion(HALF, *(fib_naive(m + j) for j in range(4))) for m in (n, n + 1))
+    assert FibSpaceVector(n, x1, x2).to_quaternion(HALF) == f_n * x1 + f_n1 * x2
 
 
 def test_vector_basepoint_mismatch_rejected():

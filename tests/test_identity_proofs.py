@@ -29,6 +29,7 @@ from fibclifford.exactnum import ALPHA, BETA, QSqrt5
 from oracles import (
     apply_basis_map,
     blade_table_is_quaternion_table,
+    horadam_naive,
     quaternion_mul_reference,
     weighted_even_powers,
 )
@@ -38,6 +39,9 @@ from test_fibquat import (
     assert_seeded_discriminant_matches_reference,
 )
 from test_quat import assert_witness_matches_reference
+
+# ``fibclifford.fib`` as an attribute is the function ``fib``, not the module
+fib_module = sys.modules["fibclifford.fib"]
 
 PAIR_GRID = (Fraction(2), Fraction(-1, 3))
 PAIR_GRID_2 = (Fraction(3), Fraction(-5, 2))
@@ -224,14 +228,28 @@ def test_perturbed_seeded_growth_fails_the_reference_check(monkeypatch, old, new
 
 
 @pytest.mark.parametrize(
-    "old,new",
-    [("fib_pair(n)", "fib_pair(n + 1)"), ("2 * a + 3 * b", "3 * a + 5 * b")],
+    "module,name,old,new",
+    [
+        (fibquat, "_basis_norms", "_window(n, 0, 1)", "_window(n + 1, 0, 1)"),
+        (fib_module, "_window", "h1 + 2 * h2", "h1 + 3 * h2"),
+    ],
     ids=["both-windows", "last-entry"],
 )
-def test_shifted_form_window_fails_the_reference_check(monkeypatch, old, new):
-    _mutate(monkeypatch, fibquat, "_basis_norms", old, new)
+def test_shifted_form_window_fails_the_reference_check(monkeypatch, module, name, old, new):
+    _mutate(monkeypatch, module, name, old, new)
     with pytest.raises(AssertionError):
         assert_form_matches_reference(5, quat.AlgebraParams(Fraction(2, 3), -7))
+
+
+def test_shifted_doubling_pass_fails_the_form_and_horadam_references(monkeypatch):
+    """Every seeded window comes from ``_window``; the oracles count theirs
+    with the naive recurrences, so shifting its doubling pass moves only the
+    package's side of each comparison."""
+    _mutate(monkeypatch, fib_module, "_window", "fib_pair(n)", "fib_pair(n + 1)")
+    with pytest.raises(AssertionError):
+        assert_form_matches_reference(5, quat.AlgebraParams(Fraction(2, 3), -7))
+    x = fibquat.horadam_quaternion(5, 3, -7, quat.AlgebraParams(-2, -3))
+    assert x.coeffs != tuple(horadam_naive(5 + j, 3, -7) for j in range(4))
 
 
 @pytest.mark.parametrize(
