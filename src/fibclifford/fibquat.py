@@ -21,10 +21,13 @@ Z[sqrt 5], and the horizon inequality scaled by the fixed factor 16*d1*d2
 compares two elements of Z[sqrt 5]; one step multiplies the growing side
 by 3 + sqrt 5 and the bounded side by 2 (that is, by
 alpha^2 = (3 + sqrt 5)/2), and the sign of x + y*sqrt 5 comes from
-comparing x^2 with 5*y^2.  The direct checks below the horizon walk the
-coefficient window of H(m; p, q) by the integer recurrence and take the
-sign of d1*d2*n(.), an integer of the same sign as the norm.  E is never
-zero for rational beta_i (see :func:`_certify`).  The closed forms stay
+comparing x^2 with 5*y^2.  That comparison is monotone in the step count,
+so the horizon is found by an unbounded search over the squares
+(3 + sqrt 5)^(2^k), in O(log N) products.  The direct checks below the
+horizon take the sign of v(m) = d1*d2*n(H(m; p, q)), an integer of the same
+sign as the norm, which obeys v(m+3) = 2v(m+2) + 2v(m+1) - v(m): three
+values from one coefficient window, then three additions per index.  E is
+never zero for rational beta_i (see :func:`_certify`).  The closed forms stay
 public as the paper's identities; the test suite checks them against the
 direct norms.
 
@@ -80,11 +83,11 @@ class GrowthProfile:
 class ThresholdCertificate:
     """Certified minimal index from which norm signs stay equal to limit_sign.
 
-    ``horizon`` satisfies the domination inequality guaranteeing no sign
-    change past it, and every index in [0, horizon] was checked by direct
-    evaluation: the integer d1*d2*n(.), with denominators cleared, along the
-    coefficient window advanced by the integer recurrence.  Minimality means
-    n_prime = 0 or the sign at n_prime - 1 differs (possibly zero).
+    ``horizon`` is the least index satisfying the domination inequality that
+    guarantees no sign change past it, and every index in [0, horizon] was
+    checked by direct evaluation: the integer d1*d2*n(.), with denominators
+    cleared, walked by its own three-term integer recurrence.  Minimality
+    means n_prime = 0 or the sign at n_prime - 1 differs (possibly zero).
     """
 
     n_prime: int
@@ -284,8 +287,22 @@ def _certify(
     |(2B)^2 * (2 d1 d2 S-) * (3 + sqrt 5)| + 32|d1 d2 S0 * cross|, and each
     step multiplies the first by 3 + sqrt 5 and the second by 2.  At (0, 1),
     A = alpha and B = beta, so (alpha*beta)^2 = 1 and cross = -1: the bound
-    is exactly |S+| * alpha^(2N) > |S-| + 2|S0|.  Indices 0..N are then
-    checked one by one on the integer d1*d2*n(H(m)).
+    is exactly |S+| * alpha^(2N) > |S-| + 2|S0|.
+
+    The ratio of the two sides grows by alpha^2 per step, so the inequality,
+    once true, stays true, and N is found by the unbounded search of Bentley
+    and Yao after the test at N = 0: the squares (3 + sqrt 5)^(2^k) gallop
+    over the failing indices 2^k - 1 until a jump of 2^k passes, and the
+    largest failing index is then lifted from the top bit down, the bounded
+    side moving by a shift.  That is O(log N) products of integers the size
+    of the growing side at N.
+
+    Indices 0..N are then checked one by one on v(m) = d1*d2*n(H(m)).  Each
+    h(m)^2 lies in the span of alpha^(2m), beta^(2m) and (-1)^m, powers of
+    the roots of (x^2 - 3x + 1)(x + 1) = x^3 - 2x^2 - 2x + 1, and so does
+    v(m), a fixed combination of four shifts of h^2; hence
+    v(m+3) = 2v(m+2) + 2v(m+1) - v(m).  v(0), v(1) and v(2) come from the
+    window (h(0), ..., h(5)), and each further index costs three additions.
 
     The limit sign is sign(A^2 S+).  S+ = u + v*alpha with rational u, v
     vanishes only if u = v = 0, which forces b2^2 + 7*b2 + 1 = 0, a
@@ -311,19 +328,38 @@ def _certify(
         bounded_sign * (gx - 3 * gy),
     )
     horizon = 0
-    while _sign_z5(gx - bx, gy - by) <= 0:
-        horizon += 1
-        gx, gy = 3 * gx + 5 * gy, gx + 3 * gy
-        bx, by = 2 * bx, 2 * by
-    # direct checks: d1*d2*n(H(m)) over the window (h(m), ..., h(m+3)) of the
-    # sequence seeded by (p, q), advanced by h(k+4) = h(k+2) + h(k+3)
-    h0, h1, h2, h3, _ = _window(0, p, q)
+    if _sign_z5(gx - bx, gy - by) <= 0:
+        # n is the largest index known to fail, (gx, gy) the growing side at n,
+        # and each step tries the index m = n + 2^k
+        n, k, powers = 0, 0, [(3, 1)]  # powers[k] = (3 + sqrt5)^(2^k)
+        while k >= 0:
+            px, py = powers[k]
+            x, y, m = gx * px + 5 * gy * py, gx * py + gy * px, n + (1 << k)
+            if _sign_z5(x - (bx << m), y - (by << m)) > 0:
+                k -= 1  # m passes: halve the jump
+            elif k + 1 < len(powers):
+                n, gx, gy, k = m, x, y, k - 1  # lifting: keep m, halve the jump
+            else:
+                n, gx, gy, k = m, x, y, k + 1  # galloping: keep m, double the jump
+                powers.append((px * px + 5 * py * py, 2 * px * py))
+        horizon = n + 1
+    # direct checks: v(m) = d1*d2*n(H(m)), signed so that the limit is positive,
+    # from the window (h(0), ..., h(5)) of the sequence seeded by (p, q) and then
+    # by v(m+3) = 2v(m+2) + 2v(m+1) - v(m)
+    h0, h1, h2, h3, h4 = _window(0, p, q)
+    h5 = h3 + h4
+    s0, s1, s2, s3, s4, s5 = h0 * h0, h1 * h1, h2 * h2, h3 * h3, h4 * h4, h5 * h5
+    v0 = c0 * s0 + c1 * s1 + c2 * s2 + c3 * s3
+    v1 = c0 * s1 + c1 * s2 + c2 * s3 + c3 * s4
+    v2 = c0 * s2 + c1 * s3 + c2 * s4 + c3 * s5
+    if limit_sign < 0:
+        v0, v1, v2 = -v0, -v1, -v2
     n_prime = 0
     for m in range(horizon + 1):
-        value = c0 * h0 * h0 + c1 * h1 * h1 + c2 * h2 * h2 + c3 * h3 * h3
-        if value * limit_sign <= 0:
+        if v0 <= 0:
             n_prime = m + 1
-        h0, h1, h2, h3 = h1, h2, h3, h2 + h3
+        t = v1 + v2
+        v0, v1, v2 = v1, v2, t + t - v0
     return ThresholdCertificate(n_prime, horizon, limit_sign)
 
 

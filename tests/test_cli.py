@@ -16,6 +16,7 @@ from fibclifford.cli import main, run_selftest
 from fibclifford.exactnum import MAX_LITERAL_DIGITS, format_rat
 from fibclifford.fib import fib
 from oracles import fib_naive, int_from_decimal
+from test_threshold_ladder import CAP_EDGE, SEEDS, ladder_params
 
 EXPECTED_H1M1_REPORT = {
     "beta1": "1",
@@ -273,6 +274,32 @@ def test_literal_at_digit_cap_succeeds(capsys):
     data = json.loads(out)
     assert data["beta2"] == beta2
     assert data["sign_E"] == -1
+
+
+@pytest.mark.parametrize("upper", [False, True], ids=["below", "above"])
+def test_cap_edge_ladder_certifies_in_a_subprocess(upper):
+    """The slowest inputs at the cap: a 4,000-digit denominator next to the
+    zero of E, with 20-digit seeds.  The timeout only guards against a hang."""
+    repo_root = Path(__file__).resolve().parent.parent
+    p, q = SEEDS[-1]
+    plain, *_, seeded = CAP_EDGE[3999][upper]
+    argv = ["--beta1", "1", "--beta2", str(ladder_params(3999, upper).beta2)]
+    argv += ["--p", str(p), "--q", str(q), "--json"]
+    outputs = []
+    for command in ("classify", "nprime"):
+        result = subprocess.run(
+            [sys.executable, "-m", "fibclifford", command, *argv],
+            capture_output=True,
+            text=True,
+            cwd=repo_root,
+            env={"PYTHONPATH": str(repo_root / "src"), "PATH": "/usr/bin:/bin"},
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(json.loads(result.stdout))
+    report, cert = outputs
+    assert (report["n_prime"], report["seeded_n_prime"]) == (plain[0], seeded[0])
+    assert (cert["n_prime"], cert["horizon"], cert["limit_sign"]) == seeded
 
 
 def test_fib_output_past_int_str_limit(capsys):

@@ -309,6 +309,39 @@ def test_integer_certificate_matches_closed_form_reference(params, seeds):
     )
 
 
+# The horizon search tests N = 0, gallops over N = 2^k - 1 and lifts the largest
+# failing N bit by bit, so its edges are the horizons 0, 1, 2 and 2^k - 1, 2^k,
+# 2^k + 1.  Each row: (horizon, ladder k, rounded up, seeds), found by scanning
+# the ladder at k = 1..61 from both sides with small and 20-digit seeds.
+HORIZON_EDGES = (
+    (0, 1, False, (8, 13)),
+    (1, 1, False, (0, 1)),
+    (2, 2, True, (5, 3)),
+    (31, 13, False, (1, 0)),
+    (32, 14, False, (0, 1)),
+    (33, 13, True, (1, 0)),
+    (63, 25, False, (1, 0)),
+    (64, 23, False, (3, -2)),
+    (65, 29, False, (1, 1)),
+    (127, 53, False, (1, 0)),
+    (128, 51, False, (3, -2)),
+    (129, 54, True, (1, 0)),
+)
+
+
+def assert_horizon_edges_match_reference() -> None:
+    for horizon, k, upper, seeds in HORIZON_EDGES:
+        params = ladder_params(k, upper)
+        cert = horadam_invertibility_threshold(params, *seeds)
+        assert cert.horizon == horizon, (k, upper, seeds)
+        reference = reference_certificate(params.beta1, params.beta2, *seeds)
+        assert (cert.n_prime, cert.horizon, cert.limit_sign) == reference, (k, upper, seeds)
+
+
+def test_certificates_at_horizon_search_edges_match_reference():
+    assert_horizon_edges_match_reference()
+
+
 def test_degenerate_seeds_are_indeterminate():
     with pytest.raises(IndeterminateError):
         horadam_invertibility_threshold(H1M1, 0, 0)

@@ -36,6 +36,7 @@ from oracles import (
 from test_clifford import assert_product_matches_reference, seeded_dense_pair
 from test_fibquat import (
     assert_form_matches_reference,
+    assert_horizon_edges_match_reference,
     assert_seeded_discriminant_matches_reference,
 )
 from test_quat import assert_witness_matches_reference
@@ -49,6 +50,8 @@ SCALE_X = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 3), Fraction(-5, 
 SCALE_Y = (Fraction(1), Fraction(-2), Fraction(3, 2), Fraction(-1, 4), Fraction(5))
 SCALE_B1 = (Fraction(1), Fraction(-3, 2))
 SCALE_B2 = (Fraction(-1), Fraction(2, 7))
+SEED_P = (-2, 1, 3)
+SEED_Q = (-1, 2, 5)
 
 
 def prove_growth_profile() -> None:
@@ -82,6 +85,16 @@ def prove_scaling() -> None:
                     for u in basis:
                         for v in basis:
                             assert image(u * v) == image(u) * image(v), (b1, b2, x, y)
+
+
+def prove_norm_recurrence() -> None:
+    for b1 in PAIR_GRID:
+        for b2 in PAIR_GRID_2:
+            params = quat.AlgebraParams(b1, b2)
+            for p in SEED_P:
+                for q in SEED_Q:
+                    v = [fibquat.horadam_quaternion(m, p, q, params).norm() for m in range(4)]
+                    assert v[3] == 2 * v[2] + 2 * v[1] - v[0], (b1, b2, p, q)
 
 
 def test_growth_profile_is_the_defining_polynomial_everywhere():
@@ -124,6 +137,23 @@ def test_scaling_map_is_multiplicative_everywhere():
     x^2 y^2 != 0 carries it back to the map itself.
     """
     prove_scaling()
+
+
+def test_norm_sequence_obeys_the_certificate_recurrence_everywhere():
+    """n(H(m+3)) = 2n(H(m+2)) + 2n(H(m+1)) - n(H(m)) in every H(b1, b2) for
+    all seeds (p, q) and m >= 0: the recurrence that ``fibquat._certify``
+    walks on v(m) = d1*d2*n(H(m)) below the horizon.
+
+    The window at m is the window at 0 of the sequence seeded by
+    (h(m), h(m+1)), so m = 0 and all seeds cover every m.  Each h(j) there is
+    linear in (p, q), and the norm is c . (h(j)^2, ..., h(j+3)^2)/(d1*d2) with
+    c/(d1*d2) = (1, b1, b2, b1*b2).  So the left side minus the right is of
+    degree <= 2 in p and in q and of degree <= 1 in b1 and in b2: a 3x3 grid
+    of seeds times a 2x2 grid of distinct nonzero parameters proves it.  (The
+    four vectors (1, b1, b2, b1*b2) of that grid span every c, so this is the
+    grid of unit c vectors in another basis.)
+    """
+    prove_norm_recurrence()
 
 
 # -- fault injection ----------------------------------------------------------------
@@ -261,3 +291,20 @@ def test_broken_witness_search_fails_the_reference_check(monkeypatch, old, new):
     _mutate(monkeypatch, quat, "zero_divisor_witness", old, new)
     with pytest.raises(AssertionError):
         assert_witness_matches_reference(quat.AlgebraParams(-2, -7))
+
+
+def test_broken_norm_walk_fails_the_reference_check(monkeypatch):
+    _mutate(monkeypatch, fibquat, "_certify", "- v0", "+ v0")
+    with pytest.raises(AssertionError):
+        assert_horizon_edges_match_reference()
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [("k -= 1  # m passes", "k -= 2  # m passes"), ("horizon = n + 1", "horizon = n + 2")],
+    ids=["dropped-top-power", "shifted-horizon"],
+)
+def test_broken_horizon_search_fails_the_edge_check(monkeypatch, old, new):
+    _mutate(monkeypatch, fibquat, "_certify", old, new)
+    with pytest.raises(AssertionError):
+        assert_horizon_edges_match_reference()
