@@ -248,18 +248,17 @@ def _cmd_clifford_table(ns: argparse.Namespace) -> int:
     form = DiagonalForm(ns.squares)
     names = [blade_name(m) for m in range(form.dim)]
     products = ((blade_product(i, j, form) for j in range(form.dim)) for i in range(form.dim))
-    table = [[_signed_sum([(c, names[m])]) for c, m in row] for row in products]
+    rows = ([_signed_sum([(c, names[m])]) for c, m in row] for row in products)
     if ns.json:
-        print(
-            json.dumps(
-                {
-                    "squares": [format_rat(s) for s in form.squares],
-                    "blades": names,
-                    "table": table,
-                }
-            )
-        )
+        # the bytes of json.dumps of the whole table, one row at a time
+        head = json.dumps({"squares": [format_rat(s) for s in form.squares], "blades": names})
+        sep = head[:-1] + ', "table": ['
+        for row in rows:
+            print(sep + json.dumps(row), end="")
+            sep = ", "
+        print("]}")
         return 0
+    table = list(rows)
     width = max(len(s) for row in [names] + table for s in row) + 2
     print("".join(s.ljust(width) for s in ["*"] + names).rstrip())
     for name, row in zip(names, table):

@@ -194,16 +194,13 @@ class CliffordClass(Enum):
     DIVISION = "Division"
 
 
-def _class_of(model: AlgebraParams) -> CliffordClass:
-    return CliffordClass.DIVISION if is_division_algebra(model) else CliffordClass.SPLIT
-
-
 def rank2_class(form: DiagonalForm) -> CliffordClass:
     """The class of the quaternion algebra H(-a, -b) of Cl(diag(a, b)):
     division iff both squares are negative, otherwise the (unique) split
     class.
     """
-    return _class_of(quaternion_isomorphism(form))
+    model = quaternion_isomorphism(form)
+    return CliffordClass.DIVISION if is_division_algebra(model) else CliffordClass.SPLIT
 
 
 def quaternion_isomorphism(form: DiagonalForm) -> AlgebraParams:
@@ -232,24 +229,42 @@ def fibonacci_form(n: int, params: AlgebraParams) -> DiagonalForm:
 
 @dataclass(frozen=True, slots=True)
 class ClassificationReport:
-    """Full output of the classification: discriminant, certificate, form,
-    Clifford class, canonical quaternion model and the scaling witness
-    connecting them."""
+    """Full output of the classification, storing what :func:`classify`
+    computes; the sign of E, basepoint, input class, canonical model, scaling
+    witness and quaternion model are read off it on access, so they agree."""
 
     params: AlgebraParams
     discriminant: QSqrt5
-    discriminant_sign: int
-    input_is_division: bool
     certificate: ThresholdCertificate
-    basepoint: int
     form: DiagonalForm
     clifford_class: CliffordClass
-    canonical: str
-    scaling_witness: tuple[Fraction, Fraction]
-    quaternion_model: AlgebraParams
     seeds: tuple[int, int] | None = None
     seeded_discriminant: QSqrt5 | None = None
     seeded_certificate: ThresholdCertificate | None = None
+
+    @property
+    def discriminant_sign(self) -> int:
+        return self.certificate.limit_sign
+
+    @property
+    def basepoint(self) -> int:
+        return self.certificate.n_prime
+
+    @property
+    def input_is_division(self) -> bool:
+        return is_division_algebra(self.params)
+
+    @property
+    def canonical(self) -> str:
+        return "H(1,1)" if self.clifford_class is CliffordClass.DIVISION else "H(-1,-1)"
+
+    @property
+    def scaling_witness(self) -> tuple[Fraction, Fraction]:
+        return abs(self.form[0]), abs(self.form[1])
+
+    @property
+    def quaternion_model(self) -> AlgebraParams:
+        return quaternion_isomorphism(self.form)
 
     def to_json(self) -> dict:
         data = {
@@ -296,32 +311,16 @@ def classify(
         raise ValueError("seeds p and q must be given together")
     growth = _growth_integers(params)
     certificate = _certify(params, growth, 0, 1)
-    sign = certificate.limit_sign
     seeds = seeded_discriminant = seeded_certificate = None
     if p is not None:
         seeds = (p, q)
         seeded_discriminant = _e_prime(growth, p, q)
         seeded_certificate = _certify(params, growth, p, q)
-    basepoint = certificate.n_prime
-    form = fibonacci_form(basepoint, params)
-    model = quaternion_isomorphism(form)
-    clifford_class = _class_of(model)
-    if (clifford_class is CliffordClass.DIVISION) != (sign < 0):
+    form = fibonacci_form(certificate.n_prime, params)
+    clifford_class = rank2_class(form)
+    if (clifford_class is CliffordClass.DIVISION) != (certificate.limit_sign < 0):
         raise AssertionError("form-entry route and discriminant route disagree")
-    canonical = "H(1,1)" if clifford_class is CliffordClass.DIVISION else "H(-1,-1)"
     return ClassificationReport(
-        params=params,
-        discriminant=_discriminant(growth),
-        discriminant_sign=sign,
-        input_is_division=is_division_algebra(params),
-        certificate=certificate,
-        basepoint=basepoint,
-        form=form,
-        clifford_class=clifford_class,
-        canonical=canonical,
-        scaling_witness=(abs(form[0]), abs(form[1])),
-        quaternion_model=model,
-        seeds=seeds,
-        seeded_discriminant=seeded_discriminant,
-        seeded_certificate=seeded_certificate,
+        params, _discriminant(growth), certificate, form, clifford_class,
+        seeds, seeded_discriminant, seeded_certificate,
     )

@@ -4,9 +4,11 @@
 canonical form used throughout this package (reduced, positive denominator,
 structural equality).  :class:`QSqrt5` represents the real number
 ``a + b*sqrt(5)`` with rational ``a``, ``b``.  Because sqrt(5) is irrational
-the representation is unique, so equality is componentwise and the sign of
-any element is decidable on integers, by comparing x**2 with 5*y**2 once the
-denominators are cleared; no floating point appears anywhere.
+the representation is unique, so equality is componentwise, and a rational
+compares equal to (and hashes like) the element with a zero sqrt(5) part.
+The sign of any element, and so the order, is decidable on integers, by
+comparing x**2 with 5*y**2 once the denominators are cleared; no floating
+point appears anywhere.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import re
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 
 from .errors import LiteralTooLongError
 
@@ -124,7 +127,8 @@ def _sign_z5(x: int, y: int) -> int:
     return sx if x * x > 5 * y * y else -sx
 
 
-@dataclass(frozen=True, slots=True, eq=True)
+@total_ordering
+@dataclass(frozen=True, slots=True, eq=False)
 class QSqrt5:
     """The real number ``a + b*sqrt(5)``, exactly."""
 
@@ -241,29 +245,20 @@ class QSqrt5:
     def __abs__(self) -> QSqrt5:
         return -self if self.sign() < 0 else self
 
+    def __eq__(self, other: object) -> bool:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.a == o.a and self.b == o.b
+
+    def __hash__(self) -> int:
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
+
     def __lt__(self, other: QSqrt5 | Rat | int) -> bool:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return (self - o).sign() < 0
-
-    def __le__(self, other: QSqrt5 | Rat | int) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() <= 0
-
-    def __gt__(self, other: QSqrt5 | Rat | int) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() > 0
-
-    def __ge__(self, other: QSqrt5 | Rat | int) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() >= 0
 
     # -- presentation / wire format ------------------------------------------
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactnum import ALPHA, BETA, SQRT5, QSqrt5, Rat
+from .exactnum import ALPHA, QSqrt5, Rat
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,8 +80,9 @@ def horadam(n: int, seeds: HoradamParams) -> int:
 def binet(n: int) -> QSqrt5:
     """``(alpha^n - beta^n)/sqrt(5)`` computed exactly in Q(sqrt 5).
 
-    The sqrt(5) component always cancels: the result equals ``fib(n)``
-    embedded as a rational element.
+    beta^n is the Galois conjugate of alpha^n = x + y*sqrt(5), so the
+    difference is 2y*sqrt(5) and the quotient the rational 2y: ``fib(n)``
+    embedded as a rational element, from one power of alpha.
     """
     _check_index(n)
-    return (ALPHA**n - BETA**n) / SQRT5
+    return QSqrt5.from_rat(2 * (ALPHA**n).b)

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BelowThresholdError, IndeterminateError
-from .exactnum import ALPHA, BETA, QSqrt5, Rat, _sign_z5, _to_rat
+from .exactnum import ALPHA, QSqrt5, Rat, _sign_z5, _to_rat
 from .fib import HoradamParams, _window
 from .quat import AlgebraParams, Quaternion, _norm_coefficients
 
@@ -252,21 +252,18 @@ def norm_closed_form(n: int, params: AlgebraParams) -> Rat:
 
 
 def horadam_norm_closed_form(n: int, params: AlgebraParams, p: int, q: int) -> Rat:
-    """norm(H(n; p, q)) via the closed form in (p + q*alpha), (p + q*beta)."""
+    """norm(H(n; p, q)) via the closed form in (p + q*alpha), (p + q*beta):
+    the beta term is the Galois conjugate of the alpha term t, so the two sum
+    to twice the rational part of t."""
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
     HoradamParams(p, q)
     profile = growth_profile(params)
     a = ALPHA * q + p
-    b = BETA * q + p
+    t = a * a * profile.dominant * ALPHA ** (2 * n - 2)
     cross = Fraction(p * p + p * q - q * q)
     osc_coeff = (2 if n % 2 == 0 else -2) * cross
-    value = (
-        a * a * profile.dominant * (ALPHA ** (2 * n - 2))
-        + b * b * profile.conjugate * (BETA ** (2 * n - 2))
-        + profile.oscillating * osc_coeff
-    ) / 5
-    return value.as_rat()
+    return (2 * t.a + profile.oscillating.as_rat() * osc_coeff) / 5
 
 
 def _certify(
@@ -418,14 +415,12 @@ def inner_product(
             f"basepoint n={z.n} is below the certified threshold "
             f"n'={certificate.n_prime} for {params.label()}"
         )
-    n0, n1 = _basis_norms(z.n, params)
-    return certificate.limit_sign * (z.x1 * w.x1 * n0 + z.x2 * w.x2 * n1)
+    return certificate.limit_sign * bilinear_form(z, w, params)
 
 
 def quadratic_form(z: FibSpaceVector, params: AlgebraParams) -> Rat:
-    """n(F(n))*x1^2 + n(F(n+1))*x2^2, with no sign adjustment."""
-    n0, n1 = _basis_norms(z.n, params)
-    return n0 * z.x1 * z.x1 + n1 * z.x2 * z.x2
+    """n(F(n))*x1^2 + n(F(n+1))*x2^2 = bilinear_form(z, z), with no sign adjustment."""
+    return bilinear_form(z, z, params)
 
 
 def bilinear_form(

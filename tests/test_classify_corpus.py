@@ -18,18 +18,25 @@ re-checked every identification per call.  The 56 records are:
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from fibclifford.clifford import classify
+from fibclifford.clifford import (
+    ClassificationReport,
+    CliffordClass,
+    classify,
+    fibonacci_form,
+    rank2_class,
+)
 from fibclifford.exactnum import parse_rat
 from fibclifford.fibquat import (
     growth_profile,
     horadam_invertibility_threshold,
     invertibility_threshold,
 )
-from fibclifford.quat import AlgebraParams
+from fibclifford.quat import AlgebraParams, is_division_algebra
 
 CORPUS = [
     json.loads(line)
@@ -60,3 +67,32 @@ def test_recorded_outputs_are_byte_identical(record):
     assert json.dumps(growth_profile(params).to_json()) == record["growth_profile"]
     assert json.dumps(classify(params, p, q).to_json()) == record["classify"]
     assert json.dumps(certificate.to_json()) == record["certificate"]
+
+
+def test_report_stores_what_classify_computes_and_reads_the_rest_off_it():
+    """The report keeps eight fields; each of its six views equals its
+    definition from them on every corpus input, including ``basepoint`` and
+    ``quaternion_model``, which no corpus record prints."""
+    assert [f.name for f in fields(ClassificationReport)] == [
+        "params",
+        "discriminant",
+        "certificate",
+        "form",
+        "clifford_class",
+        "seeds",
+        "seeded_discriminant",
+        "seeded_certificate",
+    ]
+    canonical = {CliffordClass.DIVISION: "H(1,1)", CliffordClass.SPLIT: "H(-1,-1)"}
+    for record in CORPUS:
+        params = AlgebraParams(parse_rat(record["beta1"]), parse_rat(record["beta2"]))
+        report = classify(params, *(record["seeds"] or (None, None)))
+        a, b = report.form.squares
+        assert report.discriminant_sign == report.certificate.limit_sign
+        assert report.basepoint == report.certificate.n_prime
+        assert report.form == fibonacci_form(report.basepoint, params)
+        assert report.input_is_division == is_division_algebra(params)
+        assert report.clifford_class is rank2_class(report.form)
+        assert report.canonical == canonical[report.clifford_class]
+        assert report.scaling_witness == (abs(a), abs(b))
+        assert report.quaternion_model == AlgebraParams(-a, -b)

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from fibclifford import cli
 from fibclifford.cli import main, run_selftest
-from fibclifford.exactnum import MAX_LITERAL_DIGITS, format_rat
+from fibclifford.clifford import DiagonalForm, blade_name, blade_product
+from fibclifford.exactnum import MAX_LITERAL_DIGITS, _signed_sum, format_rat, parse_rat
 from fibclifford.fib import fib
 from oracles import fib_naive, int_from_decimal
 from test_threshold_ladder import CAP_EDGE, SEEDS, ladder_params
@@ -177,6 +178,23 @@ def test_clifford_table_json(capsys):
     assert data["blades"] == ["1", "e1", "e2", "e1e2"]
     assert data["table"][1][1] == "2"
     assert data["table"][3][3] == "6"
+
+
+@pytest.mark.parametrize(
+    "squares", [["-3/2"], ["2", "-1", "1/3", "-5", "7/4", "-2/9", "3"]], ids=["rank-1", "rank-7"]
+)
+def test_clifford_table_json_is_json_dumps_of_the_whole_table(capsys, squares):
+    """The JSON table is written one row at a time; its bytes are those of
+    ``json.dumps`` of the table built here, in one piece, from ``blade_product``."""
+    code, out, _ = run_cli(capsys, "clifford-table", "--squares", ",".join(squares), "--json")
+    form = DiagonalForm(tuple(map(parse_rat, squares)))
+    names = [blade_name(m) for m in range(form.dim)]
+    table = []
+    for i in range(form.dim):
+        row = [blade_product(i, j, form) for j in range(form.dim)]
+        table.append([_signed_sum([(c, names[m])]) for c, m in row])
+    assert code == 0
+    assert out == json.dumps({"squares": squares, "blades": names, "table": table}) + "\n"
 
 
 def test_clifford_table_caps_generators(capsys):

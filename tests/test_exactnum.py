@@ -29,6 +29,7 @@ from oracles import fib_naive, int_from_decimal, lucas_naive, sign_by_interval
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 elements = st.builds(QSqrt5, rationals, rationals)
+rationals_and_ints = st.one_of(rationals, st.integers(min_value=-50, max_value=50))
 
 
 # -- exact coercion -------------------------------------------------------------
@@ -306,6 +307,24 @@ def test_comparisons():
     assert BETA < ZERO < ALPHA
     assert QSqrt5(2, 0) < SQRT5 < QSqrt5(Fraction(9, 4), 0)
     assert abs(BETA) == -BETA
+
+
+@given(
+    st.one_of(elements, rationals.map(QSqrt5.from_rat)),
+    rationals_and_ints,
+    elements,
+)
+def test_equality_hash_and_order_agree_with_the_sign(x, r, y):
+    """A rational is the element with a zero sqrt(5) part, for ``==``, the
+    hash and the order alike, and every comparison is the sign of the
+    difference."""
+    assert (x == r) == (x <= r and x >= r) == (x.b == 0 and x.a == r)
+    assert (r == x) == (x == r) and (x != r) == (not x == r)
+    assert hash(QSqrt5.from_rat(r)) == hash(r)
+    assert len({QSqrt5.from_rat(r), r}) == 1
+    s = (x - y).sign()
+    assert (x < y, x <= y, x > y, x >= y) == (s < 0, s <= 0, s > 0, s >= 0)
+    assert (x == y) == (s == 0)
 
 
 def test_str_forms():

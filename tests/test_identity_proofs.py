@@ -23,6 +23,8 @@ from functools import partial
 
 import pytest
 
+import test_fib
+import test_fibquat
 from fibclifford import clifford, fibquat, quat
 from fibclifford.cli import run_selftest
 from fibclifford.exactnum import ALPHA, BETA, QSqrt5
@@ -291,6 +293,39 @@ def test_broken_witness_search_fails_the_reference_check(monkeypatch, old, new):
     _mutate(monkeypatch, quat, "zero_divisor_witness", old, new)
     with pytest.raises(AssertionError):
         assert_witness_matches_reference(quat.AlgebraParams(-2, -7))
+
+
+def _selftest_group_passes(group: str) -> bool:
+    return dict((name, ok) for name, ok, _ in run_selftest())[group]
+
+
+def test_binet_reading_the_rational_part_fails_its_tests_and_selftest(monkeypatch):
+    """``binet`` reads 2y off alpha^n = x + y*sqrt 5; reading x instead gives
+    the Lucas numbers, which ``test_fib`` and the selftest group reject."""
+    _mutate(monkeypatch, fib_module, "binet", "(ALPHA**n).b", "(ALPHA**n).a")
+    monkeypatch.setattr(test_fib, "binet", fib_module.binet)
+    for test in (test_fib.test_binet_small_values, test_fib.test_binet_embeds_fib):
+        with pytest.raises(AssertionError):
+            test()
+    assert not _selftest_group_passes("binet-closed-form")
+
+
+def test_closed_form_without_the_conjugate_fails_the_closed_form_tests(monkeypatch):
+    """Dropping the factor 2 leaves out the beta term, the alpha term's
+    conjugate; each closed-form test of ``test_fibquat`` catches it."""
+    _mutate(monkeypatch, fibquat, "horadam_norm_closed_form", "2 * t.a", "t.a")
+    monkeypatch.setattr(
+        test_fibquat, "horadam_norm_closed_form", fibquat.horadam_norm_closed_form
+    )
+    with pytest.raises(AssertionError):
+        test_fibquat.test_norm_closed_form_values(test_fibquat.HALF, 1, Fraction(3, 4))
+    for test in (
+        partial(test_fibquat.test_norm_closed_form_matches_direct_norm, test_fibquat.HALF),
+        test_fibquat.test_norm_closed_form_random_algebras,
+        test_fibquat.test_horadam_norm_closed_form_matches_direct,
+    ):
+        with pytest.raises(AssertionError):
+            test()
 
 
 def test_broken_norm_walk_fails_the_reference_check(monkeypatch):
