@@ -198,9 +198,10 @@ def test_clifford_table_json_is_json_dumps_of_the_whole_table(capsys, squares):
 
 
 def test_clifford_table_caps_generators(capsys):
-    code, _, err = run_cli(capsys, "clifford-table", "--squares", ",".join(["-1"] * 9))
-    assert code == 1
-    assert "at most 8" in err
+    code, out, err = run_cli(capsys, "clifford-table", "--squares", ",".join(["-1"] * 9))
+    assert code == 2
+    assert out == ""
+    assert err == "--squares: 9 generators exceed the cap of 8\n"
 
 
 def test_clifford_table_degenerate_square(capsys):
@@ -342,10 +343,30 @@ def test_fib_index_at_cap_succeeds(capsys):
     assert out.strip() == format_rat(fib(cli.MAX_FIB_INDEX))
 
 
+def declared_flags() -> dict[str, list[tuple[str, bool]]]:
+    """Each subcommand's flags as (flag, required) pairs, in declared order."""
+    return {
+        name: [(a.option_strings[0], a.required) for a in p._actions if a.dest != "help"]
+        for name, p in cli.build_parser().commands.items()
+    }
+
+
 def test_help_exits_zero(capsys):
-    code, out, _ = run_cli(capsys, "--help")
-    assert code == 0
-    assert "classify" in out
+    """The root and each subcommand print a usage line with every declared
+    flag, required ones bare and optional ones in brackets, and exit 0."""
+    commands = declared_flags()
+    value_flags = cli.build_parser().value_flags
+    expected = {"": f"usage: fibclifford [-h] {{{','.join(commands)}}} ..."}
+    for name, flags in commands.items():
+        words = [f"usage: fibclifford {name} [-h]"]
+        for flag, required in flags:
+            word = f"{flag} {flag[2:].upper()}" if flag in value_flags else flag
+            words.append(word if required else f"[{word}]")
+        expected[name] = " ".join(words)
+    for name, usage in expected.items():
+        code, out, _ = run_cli(capsys, *name.split(), "--help")
+        assert code == 0
+        assert " ".join(out.split("\n\n")[0].split()) == usage
 
 
 @pytest.mark.parametrize(
@@ -384,8 +405,8 @@ def test_abbreviated_flags_are_usage_errors(capsys, argv, message):
     [
         (["clifford-table", "--squ", "1,2"], "usage: fibclifford clifford-table [-h]"),
         (["classify", "--beta1", "1"], "usage: fibclifford classify [-h]"),
-        (["clifford-table", "--squares", "1,2,3,4,5,6,7,8,9"],
-         "usage: fibclifford clifford-table [-h]"),
+        (["classify", "--beta1", "1", "--beta2", "-1", "--p", "1"],
+         "usage: fibclifford classify [-h]"),
         (["no-such-command"], "usage: fibclifford [-h]"),
     ],
     ids=["abbreviated-flag", "missing-flag", "handler", "no-command"],
@@ -431,6 +452,13 @@ GRAMMAR = {
     "selftest": ("--json",),
     "no-such-command": (),
 }
+
+
+def test_fuzz_grammar_covers_every_declared_flag():
+    declared = {name: tuple(flag for flag, _ in flags) for name, flags in declared_flags().items()}
+    assert {name: GRAMMAR[name] for name in GRAMMAR if name != "no-such-command"} == declared
+    for flag in cli.build_parser().value_flags:
+        assert FLAG_VALUES[flag] is not None, flag
 
 
 @st.composite

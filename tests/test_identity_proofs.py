@@ -310,6 +310,19 @@ def test_binet_reading_the_rational_part_fails_its_tests_and_selftest(monkeypatc
     assert not _selftest_group_passes("binet-closed-form")
 
 
+@pytest.mark.parametrize(
+    "old,new",
+    [("c3 * s3, c0)", "c2 * s3, c0)"), ("c3 * s4, c0)", "2 * c3 * s4, c0)")],
+    ids=["first-entry", "second-entry"],
+)
+def test_perturbed_basis_norm_fails_the_polarization_selftest(monkeypatch, old, new):
+    """Any symmetric bilinear form polarizes its own quadratic form, so the
+    group also compares the form with the basis norms taken as quaternion
+    norms."""
+    _mutate(monkeypatch, fibquat, "_basis_norms", old, new)
+    assert not _selftest_group_passes("polarization")
+
+
 def test_closed_form_without_the_conjugate_fails_the_closed_form_tests(monkeypatch):
     """Dropping the factor 2 leaves out the beta term, the alpha term's
     conjugate; each closed-form test of ``test_fibquat`` catches it."""

@@ -8,6 +8,7 @@ from pathlib import Path
 
 from fibclifford.cli import main
 from fibclifford.fibquat import fibonacci_quaternion
+from test_cli import declared_flags
 
 README = (Path(__file__).parent.parent / "README.md").read_text()
 
@@ -38,3 +39,20 @@ def test_library_example():
     assert fibonacci_quaternion(0, namespace["params"]).norm() == 0
     assert any("# Split, canonical H(-1,-1)" in line for line in lines)
     assert (report.clifford_class.value, report.canonical) == ("Split", "H(-1,-1)")
+
+
+def test_cli_synopsis_matches_the_parser():
+    """Each line of the synopsis under ``## CLI`` names a subcommand and its
+    flags in declared order, required ones bare and optional ones in brackets."""
+    synopsis = {}
+    for line in _block("text", "fibclifford classify"):
+        program, name, *words = line.split("#")[0].split()
+        assert program == "fibclifford"
+        flags, depth = [], 0
+        for word in words:
+            depth += word.count("[")
+            if word.lstrip("[").startswith("--"):
+                flags.append((word.strip("[]"), depth == 0))
+            depth -= word.count("]")
+        synopsis[name] = flags
+    assert list(synopsis.items()) == list(declared_flags().items())
