@@ -7,7 +7,9 @@ Convention: generators square to the *raw* diagonal entries, g_i^2 = q_i
 Basis blades are the 2^n ordered products of distinct generators, encoded
 as bitmasks; the product of two blades is another blade up to a rational
 coefficient, computed by counting generator transpositions; elements
-multiply on the integer blade kernel ``quat._product``, shared with quaternions.
+multiply on the integer blade kernel ``quat._product``, shared with quaternions:
+dense elements with small coefficients by packed integer rows, others one
+pair of nonzero blades at a time.
 
 For a rank-2 form diag(a, b) the algebra is exactly the generalized
 quaternion algebra H(-a, -b) under 1 -> 1, g1 -> e2, g2 -> e3,

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fibclifford import quat
 from fibclifford.clifford import (
     CliffordClass,
     CliffordElement,
@@ -201,6 +203,108 @@ def test_product_matches_word_rewriting_reference(pair):
 
 def test_dense_rank7_product_matches_word_rewriting_reference():
     assert_product_matches_reference(*seeded_dense_pair(7, seed=7))
+
+
+# Squares of both signs, with denominators, whose parts are small enough for
+# dense products with small coefficients to take packed rows at every rank.
+SMALL_SQUARES = tuple(Fraction(n, d) for n in (-5, -3, -2, -1, 1, 2, 3, 5) for d in (1, 2, 3))
+small_coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=4).filter(
+    lambda r: r != 0
+)
+
+
+@st.composite
+def small_dense_pairs(draw) -> tuple[CliffordElement, CliffordElement]:
+    """Every blade nonzero, with small coefficients and squares."""
+    rank = draw(st.integers(0, 8))
+    form = DiagonalForm(tuple(draw(st.sampled_from(SMALL_SQUARES)) for _ in range(rank)))
+    x, y = (
+        CliffordElement(form, tuple(draw(small_coeffs) for _ in range(form.dim)))
+        for _ in range(2)
+    )
+    return x, y
+
+
+def small_dense_pair(rank: int, seed: int) -> tuple[CliffordElement, CliffordElement]:
+    """Two elements with every blade nonzero, coefficients of at most one
+    digit over 1..4 and squares from ``SMALL_SQUARES``."""
+    rng = random.Random(seed)
+    form = DiagonalForm(tuple(rng.choice(SMALL_SQUARES) for _ in range(rank)))
+
+    def coeff() -> Fraction:
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+
+    x, y = (CliffordElement(form, tuple(coeff() for _ in range(form.dim))) for _ in range(2))
+    return x, y
+
+
+def packed_row_calls(monkeypatch) -> list:
+    """Record each call of ``quat._packed_rows`` from here on."""
+    calls = []
+    original = quat._packed_rows
+
+    def recorded(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(quat, "_packed_rows", recorded)
+    return calls
+
+
+def packed_rows_product(x: CliffordElement, y: CliffordElement) -> CliffordElement:
+    """``x * y`` from ``quat._packed_rows`` alone, whichever strategy
+    ``quat._product`` picks for the pair."""
+    xs, dx = quat._integer_support(x.coeffs)
+    ys, dy = quat._integer_support(y.coeffs)
+    parts = [(s.numerator, s.denominator) for s in x.form.squares]
+    den = dx * dy * prod(d for _, d in parts)
+    slots = quat._packed_rows(parts, xs, ys)
+    return CliffordElement(x.form, tuple(Fraction(v, den) for v in slots))
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_dense_pairs())
+def test_small_dense_product_matches_word_rewriting_reference(pair):
+    assert_product_matches_reference(*pair)
+
+
+@pytest.mark.parametrize("rank", [3, 4, 8])
+def test_small_dense_product_takes_packed_rows_from_rank_4(monkeypatch, rank):
+    x, y = small_dense_pair(rank, seed=rank)
+    calls = packed_row_calls(monkeypatch)
+    assert_product_matches_reference(x, y)
+    assert len(calls) == (rank >= 4)
+
+
+def test_wide_and_sparse_products_stay_on_the_pair_loop(monkeypatch):
+    calls = packed_row_calls(monkeypatch)
+    assert_product_matches_reference(*seeded_dense_pair(5, seed=5))
+    x, y = small_dense_pair(5, seed=5)
+    sparse = CliffordElement(y.form, y.coeffs[:8] + (Fraction(0),) * 24)
+    assert_product_matches_reference(x, sparse)
+    assert calls == []
+
+
+@pytest.mark.parametrize("count,packed", [(128, False), (129, True)])
+def test_rank9_strategies_agree_on_each_side_of_the_rule(monkeypatch, count, packed):
+    """At rank 9 a dense left operand takes packed rows once the right one
+    has more than 512 / 4 = 128 nonzero blades.  Each side of that line is
+    checked against the other strategy: packed rows called directly, and
+    the pair loop through slices of ``y`` of 64 blades each, which multiply
+    on it and add up to ``x * y``."""
+    x, y = small_dense_pair(9, seed=9)
+    y = CliffordElement(y.form, y.coeffs[:count] + (Fraction(0),) * (512 - count))
+    calls = packed_row_calls(monkeypatch)
+    whole = x * y
+    assert len(calls) == packed
+    calls.clear()
+    slices = [
+        CliffordElement(y.form, tuple(c if m >> 6 == block else 0 for m, c in enumerate(y.coeffs)))
+        for block in range(8)
+    ]
+    assert sum((x * part for part in slices), CliffordElement.zero(y.form)) == whole
+    assert calls == []
+    assert packed_rows_product(x, y) == whole
 
 
 def test_element_str():

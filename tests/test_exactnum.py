@@ -18,6 +18,7 @@ from fibclifford.exactnum import (
     SQRT5,
     ZERO,
     QSqrt5,
+    _sign_z5,
     _to_rat,
     format_rat,
     parse_int,
@@ -221,6 +222,22 @@ def test_sign_matches_interval_oracle():
             Fraction(rng.randint(-40, 40), rng.randint(1, 15)),
         )
         assert x.sign() == sign_by_interval(x)
+
+
+def test_integer_sign_on_every_small_pair():
+    """Every sign pattern of x + y*sqrt(5), including the units and zero
+    that random draws from wide ranges seldom hit."""
+    for x in range(-2, 3):
+        for y in range(-2, 3):
+            assert _sign_z5(x, y) == sign_by_interval(QSqrt5(x, y)), (x, y)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7])
+def test_sign_of_unit_fractions(d):
+    for s in (1, -1):
+        u = Fraction(s, d)
+        for x in (QSqrt5(u, 0), QSqrt5(0, u), QSqrt5(u, u), QSqrt5(u, -u)):
+            assert x.sign() == sign_by_interval(x), x
 
 
 @given(elements)

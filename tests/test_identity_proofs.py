@@ -35,7 +35,7 @@ from oracles import (
     quaternion_mul_reference,
     weighted_even_powers,
 )
-from test_clifford import assert_product_matches_reference, seeded_dense_pair
+from test_clifford import assert_product_matches_reference, seeded_dense_pair, small_dense_pair
 from test_fibquat import (
     assert_form_matches_reference,
     assert_horizon_edges_match_reference,
@@ -235,6 +235,36 @@ def test_broken_product_kernel_fails_the_reference_check(monkeypatch, old, new):
     _mutate(monkeypatch, quat, "_product", old, new)
     with pytest.raises(AssertionError):
         assert_product_matches_reference(*seeded_dense_pair(3, seed=3))
+
+
+@pytest.mark.parametrize(
+    "name,old,new",
+    [
+        ("_left_step", "flip ^= low << shift", "flip ^= 0"),
+        ("_left_step", "parity + inverse, inverse + parity", "parity + parity, inverse + inverse"),
+        ("_left_step", "low_offsets * (mag - 1)", "low_offsets * mag"),
+        ("_packed_rows", "* d + ((row ^ half) >> shift) * mag", "* mag + ((row ^ half) >> shift) * d"),
+        ("_packed_rows", "scale //= d", "scale //= 1"),
+        ("_packed_rows", "offsets * (weight - 1)", "offsets * weight"),
+    ],
+    ids=[
+        "negative-square-unflipped",
+        "parity-pattern",
+        "offset-correction-off-by-one",
+        "scales-swapped",
+        "complement-scale",
+        "offsets-kept",
+    ],
+)
+def test_broken_packed_rows_fail_the_reference_check(monkeypatch, name, old, new):
+    """The pair is dense over squares of both signs with denominators, so
+    it takes packed rows, and every generator step runs on it.  A fault
+    that leaves a field outside its 64 bits stops the decode instead."""
+    x, y = small_dense_pair(4, seed=4)
+    assert any(s < 0 for s in x.form.squares) and any(s.denominator > 1 for s in x.form.squares)
+    _mutate(monkeypatch, quat, name, old, new)
+    with pytest.raises((AssertionError, OverflowError)):
+        assert_product_matches_reference(x, y)
 
 
 def test_broken_sign_rule_fails_the_quaternion_reference_and_selftest(monkeypatch):
