@@ -33,7 +33,7 @@ from .fibquat import (
     _e_prime,
     _growth_integers,
 )
-from .quat import AlgebraParams, _product, _reorder_parity, is_division_algebra
+from .quat import AlgebraParams, _Element, _reorder_parity, is_division_algebra
 
 MAX_GENERATORS = 16
 
@@ -104,7 +104,7 @@ def blade_product(
 
 
 @dataclass(frozen=True, slots=True)
-class CliffordElement:
+class CliffordElement(_Element):
     """Element of the Clifford algebra: one rational coefficient per blade."""
 
     form: DiagonalForm
@@ -147,45 +147,18 @@ class CliffordElement:
             raise ValueError(f"generator index {i} out of range 1..{form.rank}")
         return cls.blade(form, 1 << (i - 1))
 
-    def _require_same_form(self, other: CliffordElement) -> None:
+    def _like(self, coeffs) -> CliffordElement:
+        return CliffordElement(self.form, coeffs)
+
+    def _require_same(self, other: CliffordElement) -> None:
         if self.form != other.form:
             raise MixedFormsError(
                 f"cannot combine elements over {_diag(self.form.squares)} "
                 f"and {_diag(other.form.squares)}"
             )
 
-    def __add__(self, other: CliffordElement) -> CliffordElement:
-        if not isinstance(other, CliffordElement):
-            return NotImplemented
-        self._require_same_form(other)
-        return CliffordElement(
-            self.form, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __sub__(self, other: CliffordElement) -> CliffordElement:
-        if not isinstance(other, CliffordElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> CliffordElement:
-        return CliffordElement(self.form, tuple(-c for c in self.coeffs))
-
     def __mul__(self, other: CliffordElement | Rat | int) -> CliffordElement:
-        if isinstance(other, (int, Fraction)):
-            s = _to_rat(other)
-            return CliffordElement(self.form, tuple(c * s for c in self.coeffs))
-        if not isinstance(other, CliffordElement):
-            return NotImplemented
-        self._require_same_form(other)
-        return CliffordElement(self.form, _product(self.form.squares, self.coeffs, other.coeffs))
-
-    def __rmul__(self, other: Rat | int) -> CliffordElement:
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return self._times(other, self.form.squares)
 
     def __str__(self) -> str:
         return _signed_sum((c, blade_name(mask)) for mask, c in enumerate(self.coeffs) if c)

@@ -294,6 +294,16 @@ def _certify(
     side moving by a shift.  That is O(log N) products of integers the size
     of the growing side at N.
 
+    N is at most ``bits``: the bit lengths of the largest coordinates of the
+    bounded side B and of the growing side G at index 0, plus 4.  G times
+    its conjugate is a nonzero integer, so |G| >= 1/|conj G|, and B/G is
+    below |B| * |conj G| < 2^bits, since x + y*sqrt 5 is below 2^(L+2) when
+    |x| and |y| have at most L bits.  Each index multiplies G/B by
+    alpha^2 > 2, so index ``bits`` passes.  Hence every failing index is
+    below ``bits`` and the jump 2^k never exceeds it; a gallop past
+    k = bits.bit_length() can only come from a faulty sign test, and raises
+    instead of running on.
+
     Indices 0..N are then checked one by one on v(m) = d1*d2*n(H(m)).  Each
     h(m)^2 lies in the span of alpha^(2m), beta^(2m) and (-1)^m, powers of
     the roots of (x^2 - 3x + 1)(x + 1) = x^3 - 2x^2 - 2x + 1, and so does
@@ -326,6 +336,9 @@ def _certify(
     )
     horizon = 0
     if _sign_z5(gx - bx, gy - by) <= 0:
+        # N <= bits (see the docstring), so no jump 2^k with k > top is ever needed
+        bits = max(bx.bit_length(), by.bit_length()) + max(gx.bit_length(), gy.bit_length()) + 4
+        top = bits.bit_length()
         # n is the largest index known to fail, (gx, gy) the growing side at n,
         # and each step tries the index m = n + 2^k
         n, k, powers = 0, 0, [(3, 1)]  # powers[k] = (3 + sqrt5)^(2^k)
@@ -338,6 +351,8 @@ def _certify(
                 n, gx, gy, k = m, x, y, k - 1  # lifting: keep m, halve the jump
             else:
                 n, gx, gy, k = m, x, y, k + 1  # galloping: keep m, double the jump
+                if k > top:
+                    raise AssertionError(f"horizon search passed its bound of {bits} indices")
                 powers.append((px * px + 5 * py * py, 2 * px * py))
         horizon = n + 1
     # direct checks: v(m) = d1*d2*n(H(m)), signed so that the limit is positive,

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import isqrt, lcm, prod
+from operator import add, neg, sub
 
 from .errors import (
     DegenerateAlgebraError,
@@ -63,8 +64,54 @@ class AlgebraParams:
         return f"H({format_rat(self.beta1)}, {format_rat(self.beta2)})"
 
 
+class _Element:
+    """Arithmetic shared by :class:`Quaternion` and ``clifford.CliffordElement``
+    on their coefficient tuples ``coeffs``.  A subclass supplies ``_like``,
+    an element of its algebra from coefficients, and ``_require_same``, which
+    rejects an element of another algebra.  Its own ``__mul__`` passes the
+    generator squares to :meth:`_times`: ``perfbench/tracing.py`` counts the
+    products of each class from the methods in that class's own body."""
+
+    __slots__ = ()
+
+    def _combine(self, other, op):
+        """``op`` coefficientwise with an element of the same algebra."""
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._require_same(other)
+        return self._like(list(map(op, self.coeffs, other.coeffs)))
+
+    def __add__(self, other):
+        return self._combine(other, add)
+
+    def __sub__(self, other):
+        return self._combine(other, sub)
+
+    def __neg__(self):
+        return self._like(list(map(neg, self.coeffs)))
+
+    def _times(self, other, squares: tuple[Fraction, ...]):
+        """``self * other`` for a rational ``other`` or an element of the same
+        algebra, multiplied on :func:`_product`."""
+        if isinstance(other, (int, Fraction)):
+            s = _to_rat(other)
+            return self._like([c * s for c in self.coeffs])
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._require_same(other)
+        return self._like(_product(squares, self.coeffs, other.coeffs))
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self * other
+        return NotImplemented
+
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
+
+
 @dataclass(frozen=True, slots=True)
-class Quaternion:
+class Quaternion(_Element):
     """Element a1 + a2*e2 + a3*e3 + a4*e4 of H(beta1, beta2)."""
 
     params: AlgebraParams
@@ -103,49 +150,18 @@ class Quaternion:
     def coeffs(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.a1, self.a2, self.a3, self.a4)
 
-    def _require_same_algebra(self, other: Quaternion) -> None:
+    def _like(self, coeffs) -> Quaternion:
+        return Quaternion(self.params, *coeffs)
+
+    def _require_same(self, other: Quaternion) -> None:
         if self.params != other.params:
             raise MixedAlgebrasError(
                 f"cannot combine elements of {self.params.label()} "
                 f"and {other.params.label()}"
             )
 
-    def __add__(self, other: Quaternion) -> Quaternion:
-        if not isinstance(other, Quaternion):
-            return NotImplemented
-        self._require_same_algebra(other)
-        return Quaternion(
-            self.params,
-            self.a1 + other.a1,
-            self.a2 + other.a2,
-            self.a3 + other.a3,
-            self.a4 + other.a4,
-        )
-
-    def __sub__(self, other: Quaternion) -> Quaternion:
-        if not isinstance(other, Quaternion):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> Quaternion:
-        return Quaternion(self.params, -self.a1, -self.a2, -self.a3, -self.a4)
-
     def __mul__(self, other: Quaternion | Rat | int) -> Quaternion:
-        if isinstance(other, (int, Fraction)):
-            s = _to_rat(other)
-            return Quaternion(
-                self.params, self.a1 * s, self.a2 * s, self.a3 * s, self.a4 * s
-            )
-        if not isinstance(other, Quaternion):
-            return NotImplemented
-        self._require_same_algebra(other)
-        b1, b2 = self.params.beta1, self.params.beta2
-        return Quaternion(self.params, *_product((-b1, -b2), self.coeffs, other.coeffs))
-
-    def __rmul__(self, other: Rat | int) -> Quaternion:
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
+        return self._times(other, (-self.params.beta1, -self.params.beta2))
 
     def conjugate(self) -> Quaternion:
         """(a1, -a2, -a3, -a4); satisfies x * conj(x) = norm(x) * 1."""
@@ -165,9 +181,6 @@ class Quaternion:
                 f"in {self.params.label()}"
             )
         return self.conjugate() * (1 / n)
-
-    def is_zero(self) -> bool:
-        return self.coeffs == (0, 0, 0, 0)
 
     def to_json(self) -> dict:
         return {
@@ -434,10 +447,13 @@ def zero_divisor_witness(params: AlgebraParams) -> Quaternion | None:
         return Quaternion.from_coeffs(params, (0, 1, t, 0))
     c0, c1, c2, c3 = _norm_coefficients(params)
     for height in range(1, MAX_WITNESS_HEIGHT + 1):
-        for x1, x2, x3, x4 in product(range(-height, height + 1), repeat=4):
+        # The norm is even in each coordinate, so the first zero of this height
+        # in lexicographic order over [-height, height]^4 is the negation of
+        # the last one over [0, height]^4, which a descending scan meets first.
+        for x1, x2, x3, x4 in product(range(height, -1, -1), repeat=4):
             if (
-                c0 * x1 * x1 + c1 * x2 * x2 + c2 * x3 * x3 + c3 * x4 * x4 == 0
-                and max(abs(x1), abs(x2), abs(x3), abs(x4)) == height
+                max(x1, x2, x3, x4) == height
+                and c0 * x1 * x1 + c1 * x2 * x2 + c2 * x3 * x3 + c3 * x4 * x4 == 0
             ):
-                return Quaternion.from_coeffs(params, (x1, x2, x3, x4))
+                return Quaternion.from_coeffs(params, (-x1, -x2, -x3, -x4))
     return None

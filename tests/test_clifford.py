@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 from math import prod
@@ -132,6 +133,14 @@ def test_mixed_forms_rejected():
         x * y
     with pytest.raises(MixedFormsError):
         x + y
+
+
+def test_subtraction_across_forms_rejected():
+    x = CliffordElement.one(NEG_NEG)
+    y = CliffordElement.one(POS_POS)
+    message = r"^cannot combine elements over diag\(-1, -1\) and diag\(1, 1\)$"
+    with pytest.raises(MixedFormsError, match=message):
+        x - y
 
 
 def test_domain_errors_name_their_inputs():
@@ -342,6 +351,49 @@ def test_model_applies_linearly():
     x = CliffordElement(NEG_NEG, (1, 2, 3, 4))
     y = CliffordElement(NEG_NEG, (0, -1, 1, Fraction(1, 2)))
     assert rank2_as_quaternion(x * y) == rank2_as_quaternion(x) * rank2_as_quaternion(y)
+
+
+def test_quaternion_and_rank2_element_agree_on_every_shared_operation(rng):
+    """Quaternions of H(b1, b2) and elements of Cl(diag(-b1, -b2)) share one
+    implementation of +, -, negation, scaling, products and ``is_zero``; on the
+    same coefficients they give the same coefficients."""
+    def nonzero() -> Fraction:
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 9))
+
+    def coeffs() -> list[Fraction]:  # all four are zero about one time in five
+        return [
+            Fraction(rng.choice((0, 0, rng.randint(-9, 9))), rng.randint(1, 6)) for _ in range(4)
+        ]
+
+    for _ in range(40):
+        b1, b2 = nonzero(), nonzero()
+        params, form = AlgebraParams(b1, b2), DiagonalForm((-b1, -b2))
+        cx, cy = coeffs(), coeffs()
+        s = rng.choice((rng.randint(-5, 5), nonzero()))
+        qx, qy = Quaternion.from_coeffs(params, cx), Quaternion.from_coeffs(params, cy)
+        ex, ey = CliffordElement(form, cx), CliffordElement(form, cy)
+        for q, e in (
+            (qx + qy, ex + ey),
+            (qx - qy, ex - ey),
+            (-qx, -ex),
+            (qx * s, ex * s),
+            (s * qx, s * ex),
+            (qx * qy, ex * ey),
+        ):
+            assert q.coeffs == e.coeffs
+            assert q.is_zero() == e.is_zero() == (not any(q.coeffs))
+        assert (qx - qx).is_zero() and (ex - ex).is_zero()
+
+
+@pytest.mark.parametrize(
+    "op", [operator.add, operator.sub, operator.mul], ids=["add", "sub", "mul"]
+)
+def test_quaternion_and_clifford_element_do_not_mix(op):
+    q = Quaternion.one(AlgebraParams(1, 1))
+    e = CliffordElement.one(NEG_NEG)
+    for x, y in ((q, e), (e, q)):
+        with pytest.raises(TypeError):
+            op(x, y)
 
 
 # -- rank-2 classification --------------------------------------------------------------

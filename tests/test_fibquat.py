@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fibclifford import fibquat
 from fibclifford.clifford import classify, fibonacci_form
 from fibclifford.errors import BelowThresholdError, DegenerateFormError, IndeterminateError
 from fibclifford.exactnum import ALPHA, QSqrt5, _sign_z5
@@ -340,6 +341,43 @@ def assert_horizon_edges_match_reference() -> None:
 
 def test_certificates_at_horizon_search_edges_match_reference():
     assert_horizon_edges_match_reference()
+
+
+# ladder k -> sign tests per certificate, on each side of E = 0: the limit and
+# bounded signs, the test at index 0, then one per gallop or lifting step (27
+# steps at the literal cap, horizon 9,566)
+SEARCH_SIGN_TESTS = {2: 6, 3999: 30}
+
+
+def sign_tests_per_threshold(monkeypatch, k: int) -> list[int]:
+    """The ``_sign_z5`` calls of ``invertibility_threshold`` at ladder point k,
+    rounded down and up; counted in the namespace ``_certify`` reads, so a
+    recompiled ``_certify`` is counted too."""
+    namespace = fibquat._certify.__globals__
+    sign = namespace["_sign_z5"]
+    counts = []
+    for upper in (False, True):
+        calls = 0
+
+        def counted(x: int, y: int) -> int:
+            nonlocal calls
+            calls += 1
+            return sign(x, y)
+
+        with monkeypatch.context() as patch:
+            patch.setitem(namespace, "_sign_z5", counted)
+            invertibility_threshold(ladder_params(k, upper))
+        counts.append(calls)
+    return counts
+
+
+def assert_search_steps_pinned(monkeypatch) -> None:
+    for k, count in SEARCH_SIGN_TESTS.items():
+        assert sign_tests_per_threshold(monkeypatch, k) == [count, count], k
+
+
+def test_horizon_search_takes_its_pinned_number_of_steps(monkeypatch):
+    assert_search_steps_pinned(monkeypatch)
 
 
 def test_degenerate_seeds_are_indeterminate():

@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import __future__
 import inspect
+import subprocess
 import sys
 import textwrap
 from fractions import Fraction
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +41,7 @@ from test_clifford import assert_product_matches_reference, seeded_dense_pair, s
 from test_fibquat import (
     assert_form_matches_reference,
     assert_horizon_edges_match_reference,
+    assert_search_steps_pinned,
     assert_seeded_discriminant_matches_reference,
 )
 from test_quat import assert_witness_matches_reference
@@ -386,3 +389,51 @@ def test_broken_horizon_search_fails_the_edge_check(monkeypatch, old, new):
     _mutate(monkeypatch, fibquat, "_certify", old, new)
     with pytest.raises(AssertionError):
         assert_horizon_edges_match_reference()
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("y, k - 1  # lifting", "y, k + 1  # lifting"),
+        ("k + 1 < len(powers)", "k + 2 < len(powers)"),
+    ],
+    ids=["lifting-doubles", "late-lifting"],
+)
+def test_slow_horizon_search_fails_the_step_count(monkeypatch, old, new):
+    """Both faults keep every certificate and only lengthen the search, so the
+    pinned step count is what catches them."""
+    _mutate(monkeypatch, fibquat, "_certify", old, new)
+    assert_horizon_edges_match_reference()
+    with pytest.raises(AssertionError):
+        assert_search_steps_pinned(monkeypatch)
+
+
+def test_sign_fault_stops_at_the_horizon_bound():
+    """With ``(x < 0)`` turned into ``(x < 1)``, ``_sign_z5(0, 0)`` is -1, so seeds
+    (0, 0) pass the zero check and no index ever passes the horizon test.  The
+    search raises at its a-priori bound; the subprocess timeout only guards
+    against a hang."""
+    script = textwrap.dedent(
+        """
+        import inspect
+        from fibclifford import exactnum, fibquat
+        from fibclifford.quat import AlgebraParams
+
+        source = inspect.getsource(exactnum._sign_z5)
+        assert source.count("(x < 0)") == 1
+        namespace = dict(vars(exactnum))
+        exec(compile(source.replace("(x < 0)", "(x < 1)"), exactnum.__file__, "exec"), namespace)
+        fibquat._sign_z5 = namespace["_sign_z5"]
+        fibquat.horadam_invertibility_threshold(AlgebraParams(-2, -3), 0, 0)
+        """
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
+        timeout=60,
+    )
+    assert result.returncode == 1
+    assert "AssertionError: horizon search passed its bound of" in result.stderr, result.stderr

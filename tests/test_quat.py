@@ -108,6 +108,14 @@ def test_mixed_algebras_rejected():
         x + y
 
 
+def test_subtraction_across_algebras_rejected():
+    x = quat(H11, 1, 0, 0, 0)
+    y = quat(H1M1, 1, 0, 0, 0)
+    message = r"^cannot combine elements of H\(1, 1\) and H\(1, -1\)$"
+    with pytest.raises(MixedAlgebrasError, match=message):
+        x - y
+
+
 # -- conjugation and norm -----------------------------------------------------
 
 
