@@ -169,13 +169,18 @@ class CliffordClass(Enum):
     DIVISION = "Division"
 
 
+def _require_rank2(form: DiagonalForm) -> None:
+    if form.rank != 2:
+        raise ValueError(f"rank-2 form required, got rank {form.rank}")
+
+
 def rank2_class(form: DiagonalForm) -> CliffordClass:
     """The class of the quaternion algebra H(-a, -b) of Cl(diag(a, b)):
     division iff both squares are negative, otherwise the (unique) split
     class.
     """
-    model = quaternion_isomorphism(form)
-    return CliffordClass.DIVISION if is_division_algebra(model) else CliffordClass.SPLIT
+    _require_rank2(form)
+    return CliffordClass.DIVISION if form[0] < 0 and form[1] < 0 else CliffordClass.SPLIT
 
 
 def quaternion_isomorphism(form: DiagonalForm) -> AlgebraParams:
@@ -187,8 +192,7 @@ def quaternion_isomorphism(form: DiagonalForm) -> AlgebraParams:
     identification multiplicative for every nonzero (a, b); it is not
     re-checked per call.
     """
-    if form.rank != 2:
-        raise ValueError(f"rank-2 form required, got rank {form.rank}")
+    _require_rank2(form)
     return AlgebraParams(-form[0], -form[1])
 
 
@@ -274,9 +278,10 @@ def classify(
     H(1, 1); sign(E) is the limit sign of the plain certificate, which
     never vanishes for rational parameters.  The concrete rank-2 form is
     taken at the certified threshold, where the certificate guarantees both
-    basis norms are nonzero, and the witness pair (|n(F(n))|, |n(F(n+1))|)
-    rescales the identified H(-n(F(n)), -n(F(n+1))) onto the canonical
-    model by squares.
+    basis norms are nonzero, and its walk hands back d1*d2 times their
+    absolute values.
+    The witness pair (|n(F(n))|, |n(F(n+1))|) rescales the identified
+    H(-n(F(n)), -n(F(n+1))) onto the canonical model by squares.
 
     Optional integer seeds (p, q) additionally certify the threshold for
     the seeded quaternions H(n; p, q); seeds (0, 0) have a vanishing seeded
@@ -285,13 +290,14 @@ def classify(
     if (p is None) != (q is None):
         raise ValueError("seeds p and q must be given together")
     growth = _growth_integers(params)
-    certificate = _certify(params, growth, 0, 1)
+    certificate, (v0, v1) = _certify(params, growth, 0, 1)
     seeds = seeded_discriminant = seeded_certificate = None
     if p is not None:
         seeds = (p, q)
         seeded_discriminant = _e_prime(growth, p, q)
-        seeded_certificate = _certify(params, growth, p, q)
-    form = fibonacci_form(certificate.n_prime, params)
+        seeded_certificate = _certify(params, growth, p, q)[0]
+    c0 = growth[0][0] * certificate.limit_sign
+    form = DiagonalForm((Fraction(v0, c0), Fraction(v1, c0)))
     clifford_class = rank2_class(form)
     if (clifford_class is CliffordClass.DIVISION) != (certificate.limit_sign < 0):
         raise AssertionError("form-entry route and discriminant route disagree")

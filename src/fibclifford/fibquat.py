@@ -36,7 +36,8 @@ discriminant E' = (p + q*alpha)^2 * E / 5 divide the growth integers and
 the certificate's limit element by 10*d1*d2 and 200*d1*d2, and the basis
 norms n(F(n)), n(F(n+1)) of the coordinate space divide the direct check's
 integer d1*d2*n(.) by d1*d2.  ``classify`` evaluates the growth integers
-once and hands them to both certificates.
+once and hands them to both certificates, and reads its form at n' off the
+two integers d1*d2*n(.) that the plain certificate's walk hands back.
 
 Horadam quaternions H(n; p, q) carry coefficients (h(n), ..., h(n+3)) of the
 seeded sequence h(0) = p, h(1) = q, read off ``fib._window`` like every
@@ -268,10 +269,12 @@ def horadam_norm_closed_form(n: int, params: AlgebraParams, p: int, q: int) -> R
 
 def _certify(
     params: AlgebraParams, growth: _Growth, p: int, q: int
-) -> ThresholdCertificate:
+) -> tuple[ThresholdCertificate, tuple[int, int]]:
     """Certified minimal threshold for the norms of H(n; p, q); seeds (0, 1)
     give F(n) itself.  Pure integer arithmetic throughout, on the integers
-    ``growth`` of :func:`_growth_integers` for ``params``.
+    ``growth`` of :func:`_growth_integers` for ``params``.  Also returns
+    (|v(n')|, |v(n'+1)|) = d1*d2*(|n(H(n'))|, |n(H(n'+1))|) from the walk
+    below; both norms are nonzero and of the limit sign.
 
     With A = p + q*alpha, B = p + q*beta, cross = p^2 + pq - q^2 and
     |beta^(2m-2)| <= alpha^2 for m >= 0, the sign of n(H(m)) is frozen from
@@ -310,6 +313,7 @@ def _certify(
     v(m), a fixed combination of four shifts of h^2; hence
     v(m+3) = 2v(m+2) + 2v(m+1) - v(m).  v(0), v(1) and v(2) come from the
     window (h(0), ..., h(5)), and each further index costs three additions.
+    The walk keeps v(n') and v(n'+1) each time it moves n'.
 
     The limit sign is sign(A^2 S+).  S+ = u + v*alpha with rational u, v
     vanishes only if u = v = 0, which forces b2^2 + 7*b2 + 1 = 0, a
@@ -366,13 +370,13 @@ def _certify(
     v2 = c0 * s2 + c1 * s3 + c2 * s4 + c3 * s5
     if limit_sign < 0:
         v0, v1, v2 = -v0, -v1, -v2
-    n_prime = 0
+    n_prime, norms = 0, (v0, v1)
     for m in range(horizon + 1):
         if v0 <= 0:
-            n_prime = m + 1
+            n_prime, norms = m + 1, (v1, v2)
         t = v1 + v2
         v0, v1, v2 = v1, v2, t + t - v0
-    return ThresholdCertificate(n_prime, horizon, limit_sign)
+    return ThresholdCertificate(n_prime, horizon, limit_sign), norms
 
 
 def invertibility_threshold(params: AlgebraParams) -> ThresholdCertificate:
@@ -384,7 +388,7 @@ def invertibility_threshold(params: AlgebraParams) -> ThresholdCertificate:
     indices up to the horizon are then checked one by one.  E is never zero
     for rational parameters (see :func:`_certify`).
     """
-    return _certify(params, _growth_integers(params), 0, 1)
+    return _certify(params, _growth_integers(params), 0, 1)[0]
 
 
 def horadam_invertibility_threshold(
@@ -398,7 +402,7 @@ def horadam_invertibility_threshold(
     A = p + q*alpha, B = p + q*beta.  Seeds (0, 0) raise
     :class:`IndeterminateError`; all other seeds certify.
     """
-    return _certify(params, _growth_integers(params), p, q)
+    return _certify(params, _growth_integers(params), p, q)[0]
 
 
 def _basis_norms(n: int, params: AlgebraParams) -> tuple[Fraction, Fraction]:

@@ -12,8 +12,9 @@ e4^2 = -beta1*beta2, and anticommuting imaginary units:
 As Cl(diag(-beta1, -beta2)) with blades (1, g1, g2, g1g2) = (1, e2, e3, e4),
 it multiplies on :func:`_product`, the integer blade kernel ``clifford`` shares.
 That kernel multiplies dense operands with small coefficients by packed
-integer rows, a few big-int operations per blade, and everything else,
-quaternions included, one pair of nonzero blades at a time.
+integer rows, a multiply-add per blade and a few big-int operations per
+row, and everything else, quaternions included, one pair of nonzero blades
+at a time.
 
 The norm n(a) = a1^2 + b1*a2^2 + b2*a3^2 + b1*b2*a4^2 is multiplicative and
 an element is invertible exactly when its norm is nonzero.  With
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import isqrt, lcm, prod
-from operator import add, neg, sub
+from operator import add, mul, neg, sub
 
 from .errors import (
     DegenerateAlgebraError,
@@ -220,10 +221,11 @@ def _reorder_parity(mask: int) -> int:
 
 def _integer_support(coeffs: tuple[Fraction, ...]) -> tuple[list[tuple[int, int]], int]:
     """The nonzero coefficients of an element as (blade mask, integer)
-    pairs, scaled by the lcm ``d`` of their denominators, and ``d``."""
-    support = [(mask, c) for mask, c in enumerate(coeffs) if c]
-    d = lcm(*(c.denominator for _, c in support))
-    return [(mask, c.numerator * (d // c.denominator)) for mask, c in support], d
+    pairs, scaled by the lcm ``d`` of their denominators, and ``d``; a zero
+    ``Fraction`` has denominator 1, so taking it into the lcm is harmless."""
+    ratios = list(map(Fraction.as_integer_ratio, coeffs))
+    d = lcm(*(q for _, q in ratios))
+    return [(mask, p * (d // q)) for mask, (p, q) in enumerate(ratios) if p], d
 
 
 def _product(
@@ -240,17 +242,20 @@ def _product(
     term lands on an integer slot, and the slots are divided once by
     dx*dy*T at the end.
 
-    Two strategies fill the slots.  The pair loop takes one step per pair
-    of nonzero blades, with M memoised per c for this call.  Packed rows
-    (:func:`_packed_rows`) take about a dozen big-int operations per blade
-    of x on ints of 64 bits per blade, and win when y is dense: with
-    ``dim = 2^n`` blades they run when ``|x| * |y| > 8 * dim``,
-    ``4 * |y| > dim`` and ``sum|a| * max|b| * prod max(|n_k|, d_k)``, a
-    bound on every slot, fits in 63 bits.  So quaternions, blades, vectors
-    and bivectors, and products with a sparse right operand or wide
-    coefficients, stay on the pair loop.  Timed on CPython 3.11.7 over
-    supports of 1 to 2^n blades at ranks 3-9, every pair the rule sends to
-    packed rows ran 1.07-8.1x faster than on the pair loop.
+    Two strategies fill the slots.  The pair loop (:func:`_pair_loop`)
+    takes one step per pair of nonzero blades.  Packed rows
+    (:func:`_packed_rows`) take one multiply-add per blade of x and about
+    2^(n/2 + 1) steps of a dozen big-int operations, all on ints of 64 bits
+    per blade, and win unless y is sparse: with ``dim = 2^n`` blades they
+    run when ``|x| * |y| > 8 * dim``, ``16 * |y| > dim`` and
+    ``sum|a| * max|b| * prod max(|n_k|, d_k)``, a bound on every slot and
+    on every field they form on the way, fits in 63 bits.  So quaternions,
+    blades, vectors and bivectors, and products with a sparse right operand
+    or wide coefficients, stay on the pair loop.  Timed on CPython 3.11.7
+    (2-vCPU VM) over supports of 1 to 2^n blades at ranks 3-9, the pairs
+    the rule sends to packed rows ran 1.2-45x faster than on the pair loop,
+    with single runs down to 0.9x where ``|x| * |y|`` is just above
+    ``8 * dim``.
     """
     xs, dx = _integer_support(x)
     ys, dy = _integer_support(y)
@@ -258,32 +263,41 @@ def _product(
     dim = 1 << len(parts)
     if (
         len(xs) * len(ys) > 8 * dim
-        and 4 * len(ys) > dim
+        and 16 * len(ys) > dim
         and abs(xs[0][1] * ys[0][1]) < 1 << 63  # one term, to turn wide ones away fast
         and sum(abs(a) for _, a in xs) * max(abs(b) for _, b in ys)
         * prod(max(abs(n), d) for n, d in parts) < 1 << 63
     ):
         acc = _packed_rows(parts, xs, ys)
     else:
-        metric: dict[int, int] = {}
-        acc = [0] * dim
-        for i, a in xs:
-            parity = _reorder_parity(i)
-            for j, b in ys:
-                common = i & j
-                m = metric.get(common)
-                if m is None:
-                    m = metric[common] = prod(
-                        n if common >> k & 1 else d for k, (n, d) in enumerate(parts)
-                    )
-                term = a * b * m
-                if (parity & j).bit_count() & 1:
-                    acc[i ^ j] -= term
-                else:
-                    acc[i ^ j] += term
+        acc = _pair_loop(parts, xs, ys)
     den = dx * dy * prod(d for _, d in parts)
     zero = Fraction(0)
     return tuple(Fraction(v, den) if v else zero for v in acc)
+
+
+def _pair_loop(
+    parts: list[tuple[int, int]], xs: list[tuple[int, int]], ys: list[tuple[int, int]]
+) -> list[int]:
+    """The integer slots of :func:`_product` for squares n_k/d_k = ``parts``,
+    one step per pair of nonzero blades, with M memoised per c."""
+    metric: dict[int, int] = {}
+    acc = [0] * (1 << len(parts))
+    for i, a in xs:
+        parity = _reorder_parity(i)
+        for j, b in ys:
+            common = i & j
+            m = metric.get(common)
+            if m is None:
+                m = metric[common] = prod(
+                    n if common >> k & 1 else d for k, (n, d) in enumerate(parts)
+                )
+            term = a * b * m
+            if (parity & j).bit_count() & 1:
+                acc[i ^ j] -= term
+            else:
+                acc[i ^ j] += term
+    return acc
 
 
 def _packed_rows(
@@ -293,48 +307,91 @@ def _packed_rows(
     from packed rows; every slot must stay below 2^63 in magnitude.
 
     Slot t of a row is the 64-bit field t of one int, stored with the offset
-    2^63 so that every field is nonnegative.  Row i holds e_i * y scaled by
-    prod_{k in i} d_k.  It comes from the row of i' = i minus its lowest
-    generator k, because e_i = e_k * e_i' (:func:`_left_step`).  Rows are
-    visited in the increasing mask order of ``xs``, so the ancestors of the
-    current row form a stack of at most n + 1 ints.  The slots accumulate
-    sum_i a_i * prod_{k not in i} d_k * row_i, the offsets are removed once,
-    and one ``to_bytes`` and one ``struct.unpack``, both little-endian
-    whatever the host's byte order, split the fields.
+    2^63 so that every field is nonnegative.  The generators split into the
+    m = max(n // 2, n - 6) low ones and the n - m high ones, so blade i is
+    l | h with no sign between e_l and e_h, and
+    x*y = sum_l e_l * Z_l with Z_l = sum_h a_(l,h) * e_h * y, in two levels:
+
+    - Row h holds e_h * y scaled by prod_{k in h} d_k.  It comes from the
+      row of h minus its lowest generator k, because e_h = e_k * e_h'
+      (:func:`_left_step`).  Only the rows of high parts in ``xs``, and
+      their ancestors, are built, and all of them are held: at most 64,
+      since past rank 12 the 2^n multiply-adds below cost far more than
+      the extra left steps of a larger m.
+    - Z_l is the sum of a * prod_{k high, not in h} d_k * row_h.  The low
+      generators apply by a Horner pass from generator m - 1 down to 0,
+      W = d_k * W_without_k + g_k * d_k * W_with_k, depth first, so it
+      holds one pending sum per generator and builds each Z_l at its leaf.
+
+    So about 2^(n-m) + 2^m full-width left steps serve the 2^n blades of x,
+    and every term ends up scaled by T = prod d_k.  Every field on the way
+    is a signed sum of terms a_i * b_j * F, at most one for each blade i of
+    x, where F multiplies n_k or d_k over some of the generators, so the
+    bound ``sum|a| * max|b| * prod max(|n_k|, d_k)`` on which
+    :func:`_product` admits the pair covers every field too.  One
+    ``to_bytes`` and one ``struct.unpack``, both little-endian whatever the
+    host's byte order, split the fields of the last W.
     """
-    dim = 1 << len(parts)
+    n = len(parts)
+    dim = 1 << n
+    m = max(n // 2, n - 6)
     offsets = int.from_bytes(b"\0\0\0\0\0\0\0\x80" * dim, "little")
     dense = [0] * dim
     for j, b in ys:
         dense[j] = b
-    row = int.from_bytes(struct.pack(f"<{dim}q", *dense), "little") ^ offsets
-    steps: list[tuple[int, ...] | None] = [None] * len(parts)
-    # (mask, row, prod of d_k over the generators k not in mask)
-    stack = [(0, row, prod(d for _, d in parts))]
-    acc = weight = 0
+    steps: list[tuple[int, ...] | None] = [None] * n
+
+    def left(k: int, row: int) -> int:
+        step = steps[k]
+        if step is None:
+            step = steps[k] = _left_step(k, dim, *parts[k], offsets)
+        flip, low, shift, mag, d, correction = step
+        row ^= flip
+        half = row & low
+        return (half << shift) * d + ((row ^ half) >> shift) * mag - correction
+
+    high = 1 << n - m
+    # scales[h]: prod of d_k over the high generators k not in h
+    scales = [prod(d for _, d in parts[m:])] * high
+    for h in range(1, high):
+        k = (h & -h).bit_length() - 1
+        scales[h] = scales[h ^ 1 << k] // parts[m + k][1]
+    rows: list[int | None] = [None] * high
+    rows[0] = int.from_bytes(struct.pack(f"<{dim}q", *dense), "little") ^ offsets
+
+    def row(h: int) -> int:
+        if rows[h] is None:
+            k = (h & -h).bit_length() - 1
+            rows[h] = left(m + k, row(h ^ 1 << k))
+        return rows[h]
+
+    # per low part l: the high parts h of the blades l | h of x, and their
+    # coefficients times scales[h]
+    hs: list[list[int]] = [[] for _ in range(1 << m)]
+    cs: list[list[int]] = [[] for _ in range(1 << m)]
     for i, a in xs:
-        # pop to the longest ancestor: i with its lowest generators removed
-        while (top := stack[-1][0]) != i & -(top & -top):
-            stack.pop()
-        _, row, scale = stack[-1]
-        rest = i ^ top
-        while rest:  # put back the removed generators, highest first
-            k = rest.bit_length() - 1
-            rest ^= 1 << k
-            top |= 1 << k
-            step = steps[k]
-            if step is None:
-                step = steps[k] = _left_step(k, dim, *parts[k], offsets)
-            flip, low, shift, mag, d, correction = step
-            row ^= flip
-            half = row & low
-            row = (half << shift) * d + ((row ^ half) >> shift) * mag - correction
-            scale //= d
-            stack.append((top, row, scale))
-        a *= scale
-        acc += a * row
-        weight += a
-    fields = ((acc - offsets * (weight - 1)) ^ offsets).to_bytes(8 * dim, "little")
+        l, h = i & (1 << m) - 1, i >> m
+        hs[l].append(h)
+        cs[l].append(a * scales[h])
+    for h in {i >> m for i, _ in xs}:
+        row(h)
+
+    def fold(k: int, l: int) -> int | None:
+        """sum_l' e_l' * Z_(l | l'), offset, over the blades l' of the low
+        generators k..m - 1, scaled by their d's; None if it is empty."""
+        if k == m:
+            if not cs[l]:
+                return None
+            weight = sum(cs[l])
+            return sum(map(mul, cs[l], map(rows.__getitem__, hs[l]))) - offsets * (weight - 1)
+        without, with_ = fold(k + 1, l), fold(k + 1, l | 1 << k)
+        d = parts[k][1]
+        if with_ is None:
+            return without if without is None or d == 1 else without * d - offsets * (d - 1)
+        with_ = left(k, with_)
+        return with_ if without is None else (without - offsets) * d + with_
+
+    fields = (fold(0, 0) ^ offsets).to_bytes(8 * dim, "little")
     return struct.unpack(f"<{dim}q", fields)
 
 
@@ -403,10 +460,13 @@ def scale_isomorphism(
             f"scale factors must be nonzero (got x={format_rat(x)}, y={format_rat(y)})"
         )
     target = AlgebraParams(x * x * params.beta1, y * y * params.beta2)
-    one, e2, e3, e4 = Quaternion.basis(target)
-    return target, BasisMap(
-        params, target, (one, e2 * (1 / x), e3 * (1 / y), e4 * (1 / (x * y)))
-    )
+    zero = Fraction(0)
+    return target, BasisMap(params, target, (
+        Quaternion(target, Fraction(1), zero, zero, zero),
+        Quaternion(target, zero, 1 / x, zero, zero),
+        Quaternion(target, zero, zero, 1 / y, zero),
+        Quaternion(target, zero, zero, zero, 1 / (x * y)),
+    ))
 
 
 def _rat_sqrt(value: Fraction) -> Fraction | None:

@@ -14,6 +14,7 @@ the package evaluates the integer norm form.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import gcd, isqrt
 
@@ -141,10 +142,29 @@ def blade_product_rewrite(
 ) -> tuple[Fraction, int]:
     """Multiply blades by rewriting the concatenated generator word:
     swap out-of-order neighbours with a sign flip, contract equal
-    neighbours to their square."""
-    word = [i for i in range(len(squares)) if mask_a >> i & 1]
-    word += [i for i in range(len(squares)) if mask_b >> i & 1]
-    coeff = Fraction(1)
+    neighbours to their square.  The squares-free rewriting comes from
+    :func:`_rewrite_word`; the squares of the contracted generators
+    multiply in here."""
+    sign, contracted, mask = _rewrite_word(mask_a, mask_b)
+    return _word_coefficient(sign, contracted, squares), mask
+
+
+def _word_coefficient(sign: int, contracted: tuple[int, ...], squares) -> Fraction:
+    coeff = Fraction(sign)
+    for i in contracted:
+        coeff *= squares[i]
+    return coeff
+
+
+@lru_cache(maxsize=1 << 16)
+def _rewrite_word(mask_a: int, mask_b: int) -> tuple[int, tuple[int, ...], int]:
+    """(sign, contracted generators, result mask) of rewriting the word of
+    ``mask_a`` followed by that of ``mask_b``, whatever the squares: they
+    enter the product only through the generators contracted, so one
+    rewriting per pair of masks serves every form."""
+    word = [i for i in range(mask_a.bit_length()) if mask_a >> i & 1]
+    word += [i for i in range(mask_b.bit_length()) if mask_b >> i & 1]
+    sign, contracted = 1, []
     changed = True
     while changed:
         changed = False
@@ -152,11 +172,11 @@ def blade_product_rewrite(
             x, y = word[k], word[k + 1]
             if x > y:
                 word[k], word[k + 1] = y, x
-                coeff = -coeff
+                sign = -sign
                 changed = True
                 break
             if x == y:
-                coeff *= squares[x]
+                contracted.append(x)
                 del word[k + 1]
                 del word[k]
                 changed = True
@@ -164,15 +184,17 @@ def blade_product_rewrite(
     mask = 0
     for i in word:
         mask |= 1 << i
-    return coeff, mask
+    return sign, tuple(contracted), mask
 
 
 def clifford_mul_reference(x: CliffordElement, y: CliffordElement) -> CliffordElement:
     """Bilinear extension of ``blade_product_rewrite``: every pair of
     nonzero blades is rewritten word by word and added in ``Fraction``s;
-    independent of the sign rule and integer scaling in the package."""
+    independent of the sign rule and integer scaling in the package.  The
+    squares multiply in once per sign and set of contracted generators."""
     assert x.form == y.form
     squares = x.form.squares
+    coeffs: dict[tuple[int, tuple[int, ...]], Fraction] = {}
     out = [Fraction(0)] * x.form.dim
     for i, xi in enumerate(x.coeffs):
         if not xi:
@@ -180,7 +202,10 @@ def clifford_mul_reference(x: CliffordElement, y: CliffordElement) -> CliffordEl
         for j, yj in enumerate(y.coeffs):
             if not yj:
                 continue
-            coeff, mask = blade_product_rewrite(i, j, squares)
+            sign, contracted, mask = _rewrite_word(i, j)
+            coeff = coeffs.get((sign, contracted))
+            if coeff is None:
+                coeff = coeffs[sign, contracted] = _word_coefficient(sign, contracted, squares)
             out[mask] += xi * yj * coeff
     return CliffordElement(x.form, tuple(out))
 

@@ -294,12 +294,12 @@ def test_wide_and_sparse_products_stay_on_the_pair_loop(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("count,packed", [(128, False), (129, True)])
+@pytest.mark.parametrize("count,packed", [(32, False), (33, True)])
 def test_rank9_strategies_agree_on_each_side_of_the_rule(monkeypatch, count, packed):
     """At rank 9 a dense left operand takes packed rows once the right one
-    has more than 512 / 4 = 128 nonzero blades.  Each side of that line is
+    has more than 512 / 16 = 32 nonzero blades.  Each side of that line is
     checked against the other strategy: packed rows called directly, and
-    the pair loop through slices of ``y`` of 64 blades each, which multiply
+    the pair loop through slices of ``y`` of 16 blades each, which multiply
     on it and add up to ``x * y``."""
     x, y = small_dense_pair(9, seed=9)
     y = CliffordElement(y.form, y.coeffs[:count] + (Fraction(0),) * (512 - count))
@@ -308,12 +308,58 @@ def test_rank9_strategies_agree_on_each_side_of_the_rule(monkeypatch, count, pac
     assert len(calls) == packed
     calls.clear()
     slices = [
-        CliffordElement(y.form, tuple(c if m >> 6 == block else 0 for m, c in enumerate(y.coeffs)))
-        for block in range(8)
+        CliffordElement(y.form, tuple(c if m >> 4 == block else 0 for m, c in enumerate(y.coeffs)))
+        for block in range(32)
     ]
     assert sum((x * part for part in slices), CliffordElement.zero(y.form)) == whole
     assert calls == []
     assert packed_rows_product(x, y) == whole
+
+
+@pytest.mark.parametrize("rank", [*range(1, 11), 13])
+def test_packed_rows_match_the_pair_loop(rank):
+    """The slots of ``quat._packed_rows`` equal those of ``quat._pair_loop``
+    with a dense y: for an x on the low generators only (the rows level
+    holds one row), on the high ones only (the Horner pass has one leaf),
+    sparse, and dense; and, over squares of +-1, for dense pairs whose slot
+    0 adds |a_i| * b over every blade with one sign, to between 2^62 and
+    2^63 in magnitude, where the bound of ``quat._product`` only just
+    admits the pair.  Rank 13 splits its generators 7 + 6, to hold at most
+    64 rows."""
+    rng = random.Random(rank)
+    dim = 1 << rank
+    low = (1 << max(rank // 2, rank - 6)) - 1
+
+    def coeffs(masks) -> list[tuple[int, int]]:
+        return [(i, rng.choice((-1, 1)) * rng.randint(1, 99)) for i in sorted(masks)]
+
+    def sample(masks, count: int = 24) -> list[int]:
+        masks = list(masks)
+        return rng.sample(masks, min(len(masks), count))
+
+    parts = [(s.numerator, s.denominator) for s in rng.choices(SMALL_SQUARES, k=rank)]
+    ys = coeffs(range(dim))
+    for xs in (
+        coeffs(sample(i for i in range(dim) if not i & ~low)),
+        coeffs(sample(i for i in range(dim) if not i & low)),
+        coeffs(sample(range(dim), 5)),
+        coeffs(range(dim)) if rank <= 10 else [],
+    ):
+        if xs:
+            assert quat._packed_rows(parts, xs, ys) == tuple(quat._pair_loop(parts, xs, ys))
+    if rank > 10:
+        return
+    units = tuple(Fraction(rng.choice((-1, 1))) for _ in range(rank))
+    parts = [(s.numerator, 1) for s in units]
+    xs = coeffs(range(dim))
+    b = ((1 << 63) - 1) // sum(abs(a) for _, a in xs)
+    for sign in (1, -1):
+        # e_i * e_i = +-1, so every term a_i * b_i of slot 0 has the sign ``sign``
+        ys = [(i, sign * b * (1 if a > 0 else -1) * int(blade_product_rewrite(i, i, units)[0]))
+              for i, a in xs]
+        slots = quat._packed_rows(parts, xs, ys)
+        assert slots == tuple(quat._pair_loop(parts, xs, ys))
+        assert 1 << 62 <= sign * slots[0] < 1 << 63
 
 
 def test_element_str():

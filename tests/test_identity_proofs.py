@@ -29,10 +29,12 @@ import test_fib
 import test_fibquat
 from fibclifford import clifford, fibquat, quat
 from fibclifford.cli import run_selftest
+from fibclifford.errors import DegenerateFormError
 from fibclifford.exactnum import ALPHA, BETA, QSqrt5
 from oracles import (
     apply_basis_map,
     blade_table_is_quaternion_table,
+    fibonacci_form_reference,
     horadam_naive,
     quaternion_mul_reference,
     weighted_even_powers,
@@ -221,7 +223,7 @@ def test_perturbed_growth_coefficient_fails_the_proof_and_selftest(monkeypatch, 
 
 
 def test_wrong_scaling_image_fails_the_proof(monkeypatch):
-    _mutate(monkeypatch, quat, "scale_isomorphism", "e4 * (1 / (x * y))", "e4 * (1 / (x * x))")
+    _mutate(monkeypatch, quat, "scale_isomorphism", "1 / (x * y)", "1 / (x * x)")
     with pytest.raises(AssertionError):
         prove_scaling()
 
@@ -235,7 +237,7 @@ def test_wrong_scaling_image_fails_the_proof(monkeypatch):
     ids=["flipped-parity", "no-metric-factor"],
 )
 def test_broken_product_kernel_fails_the_reference_check(monkeypatch, old, new):
-    _mutate(monkeypatch, quat, "_product", old, new)
+    _mutate(monkeypatch, quat, "_pair_loop", old, new)
     with pytest.raises(AssertionError):
         assert_product_matches_reference(*seeded_dense_pair(3, seed=3))
 
@@ -247,8 +249,9 @@ def test_broken_product_kernel_fails_the_reference_check(monkeypatch, old, new):
         ("_left_step", "parity + inverse, inverse + parity", "parity + parity, inverse + inverse"),
         ("_left_step", "low_offsets * (mag - 1)", "low_offsets * mag"),
         ("_packed_rows", "* d + ((row ^ half) >> shift) * mag", "* mag + ((row ^ half) >> shift) * d"),
-        ("_packed_rows", "scale //= d", "scale //= 1"),
+        ("_packed_rows", "// parts[m + k][1]", "// 1"),
         ("_packed_rows", "offsets * (weight - 1)", "offsets * weight"),
+        ("_packed_rows", "(without - offsets) * d + with_", "(without - offsets) + with_"),
     ],
     ids=[
         "negative-square-unflipped",
@@ -257,14 +260,18 @@ def test_broken_product_kernel_fails_the_reference_check(monkeypatch, old, new):
         "scales-swapped",
         "complement-scale",
         "offsets-kept",
+        "horner-scale",
     ],
 )
 def test_broken_packed_rows_fail_the_reference_check(monkeypatch, name, old, new):
-    """The pair is dense over squares of both signs with denominators, so
-    it takes packed rows, and every generator step runs on it.  A fault
-    that leaves a field outside its 64 bits stops the decode instead."""
-    x, y = small_dense_pair(4, seed=4)
-    assert any(s < 0 for s in x.form.squares) and any(s.denominator > 1 for s in x.form.squares)
+    """The pair is dense, so it takes packed rows, and both its two low
+    generators (the Horner pass) and its three high ones (the rows) square
+    to rationals of both signs with denominators, so every step of both
+    levels runs on it.  A fault that leaves a field outside its 64 bits
+    stops the decode instead."""
+    x, y = small_dense_pair(5, seed=5)
+    for squares in (x.form.squares[:2], x.form.squares[2:]):
+        assert any(s < 0 for s in squares) and any(s.denominator > 1 for s in squares)
     _mutate(monkeypatch, quat, name, old, new)
     with pytest.raises((AssertionError, OverflowError)):
         assert_product_matches_reference(x, y)
@@ -372,6 +379,18 @@ def test_closed_form_without_the_conjugate_fails_the_closed_form_tests(monkeypat
     ):
         with pytest.raises(AssertionError):
             test()
+
+
+def test_stale_walk_norms_fail_the_classify_form_reference(monkeypatch):
+    """``classify`` reads its form off the two norms the certificate's walk
+    keeps at n'; keeping those of n' - 1 instead breaks the form, or the
+    class check, where n' = 1."""
+    params = quat.AlgebraParams(-1, Fraction(-1, 3))
+    assert clifford.classify(params).basepoint == 1
+    _mutate(monkeypatch, fibquat, "_certify", "m + 1, (v1, v2)", "m + 1, (v0, v1)")
+    with pytest.raises((AssertionError, DegenerateFormError)):
+        report = clifford.classify(params)
+        assert report.form.squares == fibonacci_form_reference(1, params)
 
 
 def test_broken_norm_walk_fails_the_reference_check(monkeypatch):
