@@ -6,10 +6,11 @@ Convention: generators square to the *raw* diagonal entries, g_i^2 = q_i
 (so a negative definite form diag(-1, -1) yields the Hamilton quaternions).
 Basis blades are the 2^n ordered products of distinct generators, encoded
 as bitmasks; the product of two blades is another blade up to a rational
-coefficient, computed by counting generator transpositions; elements
-multiply on the integer blade kernel ``quat._product``, shared with quaternions:
-dense elements with small coefficients by packed integer rows, others one
-pair of nonzero blades at a time.
+coefficient, computed by counting generator transpositions.  Elements hold
+integer numerators over one denominator, as quaternions do, and multiply on
+the integer blade kernel ``quat._product``, shared with quaternions: dense
+elements with small coefficients by packed integer rows, others one pair of
+nonzero blades at a time.
 
 For a rank-2 form diag(a, b) the algebra is exactly the generalized
 quaternion algebra H(-a, -b) under 1 -> 1, g1 -> e2, g2 -> e3,
@@ -33,7 +34,7 @@ from .fibquat import (
     _e_prime,
     _growth_integers,
 )
-from .quat import AlgebraParams, _Element, _reorder_parity, is_division_algebra
+from .quat import AlgebraParams, _Element, _integer_form, _reorder_parity, is_division_algebra
 
 MAX_GENERATORS = 16
 
@@ -103,24 +104,26 @@ def blade_product(
     return coeff, mask_a ^ mask_b
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CliffordElement(_Element):
-    """Element of the Clifford algebra: one rational coefficient per blade."""
+    """Element of the Clifford algebra: one rational coefficient per blade,
+    stored as the integers ``nums`` over ``den``; ``coeffs`` reads them as
+    ``Fraction``s."""
 
     form: DiagonalForm
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
+    _ALGEBRA = "form"
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(map(_to_rat, self.coeffs))
-        if len(coeffs) != self.form.dim:
-            raise ValueError(
-                f"need {self.form.dim} blade coefficients, got {len(coeffs)}"
-            )
-        object.__setattr__(self, "coeffs", coeffs)
+    def __init__(self, form: DiagonalForm, coeffs) -> None:
+        nums, den = _integer_form(coeffs)
+        if len(nums) != form.dim:
+            raise ValueError(f"need {form.dim} blade coefficients, got {len(nums)}")
+        self._fill(form, nums, den)
 
     @classmethod
     def zero(cls, form: DiagonalForm) -> CliffordElement:
-        return cls(form, (Fraction(0),) * form.dim)
+        return cls._of(form, (0,) * form.dim, 1)
 
     @classmethod
     def scalar(cls, form: DiagonalForm, value: Rat | int) -> CliffordElement:
@@ -136,9 +139,10 @@ class CliffordElement(_Element):
     ) -> CliffordElement:
         if not 0 <= mask < form.dim:
             raise ValueError(f"blade mask {mask} out of range for rank {form.rank}")
-        coeffs = [Fraction(0)] * form.dim
-        coeffs[mask] = coeff
-        return cls(form, tuple(coeffs))
+        p, q = _to_rat(coeff).as_integer_ratio()
+        nums = [0] * form.dim
+        nums[mask] = p
+        return cls._of(form, tuple(nums), q)
 
     @classmethod
     def generator(cls, form: DiagonalForm, i: int) -> CliffordElement:
@@ -146,9 +150,6 @@ class CliffordElement(_Element):
         if not 1 <= i <= form.rank:
             raise ValueError(f"generator index {i} out of range 1..{form.rank}")
         return cls.blade(form, 1 << (i - 1))
-
-    def _like(self, coeffs) -> CliffordElement:
-        return CliffordElement(self.form, coeffs)
 
     def _require_same(self, other: CliffordElement) -> None:
         if self.form != other.form:
@@ -158,7 +159,7 @@ class CliffordElement(_Element):
             )
 
     def __mul__(self, other: CliffordElement | Rat | int) -> CliffordElement:
-        return self._times(other, self.form.squares)
+        return self._times(other, [s.as_integer_ratio() for s in self.form.squares])
 
     def __str__(self) -> str:
         return _signed_sum((c, blade_name(mask)) for mask, c in enumerate(self.coeffs) if c)

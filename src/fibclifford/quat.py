@@ -9,12 +9,16 @@ e4^2 = -beta1*beta2, and anticommuting imaginary units:
         e3   | e3   -e4       -b2       b2*e2
         e4   | e4   b1*e3     -b2*e2    -b1*b2
 
-As Cl(diag(-beta1, -beta2)) with blades (1, g1, g2, g1g2) = (1, e2, e3, e4),
-it multiplies on :func:`_product`, the integer blade kernel ``clifford`` shares.
-That kernel multiplies dense operands with small coefficients by packed
-integer rows, a multiply-add per blade and a few big-int operations per
-row, and everything else, quaternions included, one pair of nonzero blades
-at a time.
+Quaternions and ``clifford``'s elements are stored in one integer form:
+a numerator per basis element over one positive denominator, in lowest
+terms (:class:`_Element`).  ``Fraction``s appear only at the edge: the
+constructors take them and ``coeffs`` gives them back.  As
+Cl(diag(-beta1, -beta2)) with blades (1, g1, g2, g1g2) = (1, e2, e3, e4), a
+quaternion multiplies on :func:`_product`, the integer blade kernel
+``clifford`` shares.  That kernel multiplies dense operands with small
+coefficients by packed integer rows, a multiply-add per blade and a few
+big-int operations per row, and everything else, quaternions included, one
+pair of nonzero blades at a time.
 
 The norm n(a) = a1^2 + b1*a2^2 + b2*a3^2 + b1*b2*a4^2 is multiplicative and
 an element is invertible exactly when its norm is nonzero.  With
@@ -30,10 +34,11 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
-from itertools import product
-from math import isqrt, lcm, prod
-from operator import add, mul, neg, sub
+from itertools import compress, product
+from math import gcd, isqrt, lcm, prod
+from operator import add, itemgetter, mul, neg, sub
 
 from .errors import (
     DegenerateAlgebraError,
@@ -65,22 +70,87 @@ class AlgebraParams:
         return f"H({format_rat(self.beta1)}, {format_rat(self.beta2)})"
 
 
+_ZERO = Fraction(0)
+
+
+def _integer_form(values) -> tuple[tuple[int, ...], int]:
+    """Ints or ``Fraction``s ``values`` as ``(nums, den)``: ``den`` is the lcm
+    of their denominators and ``nums`` holds each value times ``den``.  It
+    is canonical, ``gcd(den, *nums) == 1``: every prime power of the lcm is
+    the full power in some denominator, whose reduced numerator it does not
+    divide.  Anything else is a ``TypeError``, as for :func:`_to_rat`."""
+    values = tuple(values)
+    try:  # all Fractions, the common case, in one pass
+        ratios = list(map(Fraction.as_integer_ratio, values))
+    except AttributeError:
+        ratios = [(v, 1) if type(v) is int else _to_rat(v).as_integer_ratio() for v in values]
+    den = lcm(*set(map(itemgetter(1), ratios)))
+    if den == 1:
+        return tuple(map(itemgetter(0), ratios)), 1
+    return tuple([p * (den // q) for p, q in ratios]), den
+
+
 class _Element:
     """Arithmetic shared by :class:`Quaternion` and ``clifford.CliffordElement``
-    on their coefficient tuples ``coeffs``.  A subclass supplies ``_like``,
-    an element of its algebra from coefficients, and ``_require_same``, which
-    rejects an element of another algebra.  Its own ``__mul__`` passes the
-    generator squares to :meth:`_times`: ``perfbench/tracing.py`` counts the
-    products of each class from the methods in that class's own body."""
+    on their integer form: ``nums``, one integer numerator per basis
+    element, over one denominator ``den > 0`` with ``gcd(den, *nums) == 1``.
+    That form is canonical, so the dataclasses' structural ``==`` and hash
+    compare values; ``coeffs`` derives the ``Fraction``s.  Sums and
+    differences take one lcm and one gcd, negation only flips signs, and
+    products come from :func:`_product` and take one gcd.
+
+    A subclass names its algebra's field in ``_ALGEBRA`` and supplies
+    ``_require_same``, which rejects an element of another algebra.  Its own
+    ``__mul__`` passes the generator squares, as (numerator, denominator)
+    pairs, to :meth:`_times`: ``perfbench/tracing.py`` counts the products
+    of each class from the methods in that class's own body."""
 
     __slots__ = ()
+
+    def _fill(self, algebra, nums: tuple[int, ...], den: int) -> None:
+        # a frozen dataclass fills its own slots through object.__setattr__
+        object.__setattr__(self, self._ALGEBRA, algebra)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _of(cls, algebra, nums: tuple[int, ...], den: int):
+        """The element over ``algebra`` of the canonical form (nums, den), as is."""
+        new = object.__new__(cls)
+        new._fill(algebra, nums, den)
+        return new
+
+    def _like(self, nums: tuple[int, ...], den: int):
+        """The element of this algebra of the canonical form (nums, den), as is."""
+        return self._of(getattr(self, self._ALGEBRA), nums, den)
+
+    def _reduced(self, nums, den: int):
+        """The element of this algebra with coefficients nums/den, brought to
+        lowest terms by one gcd."""
+        g = gcd(den, *nums)
+        if g != 1:
+            nums, den = [v // g for v in nums], den // g
+        return self._like(tuple(nums), den)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients, one ``Fraction`` per basis element."""
+        den = self.den
+        if den == 1:
+            return tuple(map(Fraction, self.nums))
+        return tuple([Fraction(v, den) if v else _ZERO for v in self.nums])
 
     def _combine(self, other, op):
         """``op`` coefficientwise with an element of the same algebra."""
         if not isinstance(other, type(self)):
             return NotImplemented
         self._require_same(other)
-        return self._like(list(map(op, self.coeffs, other.coeffs)))
+        dx, dy = self.den, other.den
+        if dx == dy:
+            return self._reduced(list(map(op, self.nums, other.nums)), dx)
+        den = lcm(dx, dy)
+        sx, sy = den // dx, den // dy
+        return self._reduced([op(a * sx, b * sy) for a, b in zip(self.nums, other.nums)], den)
 
     def __add__(self, other):
         return self._combine(other, add)
@@ -89,18 +159,19 @@ class _Element:
         return self._combine(other, sub)
 
     def __neg__(self):
-        return self._like(list(map(neg, self.coeffs)))
+        return self._like(tuple(map(neg, self.nums)), self.den)
 
-    def _times(self, other, squares: tuple[Fraction, ...]):
+    def _times(self, other, parts: tuple[tuple[int, int], ...]):
         """``self * other`` for a rational ``other`` or an element of the same
-        algebra, multiplied on :func:`_product`."""
+        algebra, multiplied on :func:`_product`; ``parts`` holds the squares
+        of the generators as (numerator, denominator) pairs."""
+        if isinstance(other, type(self)):
+            self._require_same(other)
+            return self._reduced(*_product(parts, (self.nums, self.den), (other.nums, other.den)))
         if isinstance(other, (int, Fraction)):
-            s = _to_rat(other)
-            return self._like([c * s for c in self.coeffs])
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        self._require_same(other)
-        return self._like(_product(squares, self.coeffs, other.coeffs))
+            p, q = _to_rat(other).as_integer_ratio()
+            return self._reduced([v * p for v in self.nums], self.den * q)
+        return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -108,51 +179,49 @@ class _Element:
         return NotImplemented
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.nums)
 
 
-@dataclass(frozen=True, slots=True)
+def _coefficient(k: int) -> property:
+    return property(lambda self: Fraction(self.nums[k], self.den), doc=f"Coefficient a{k + 1}.")
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Quaternion(_Element):
-    """Element a1 + a2*e2 + a3*e3 + a4*e4 of H(beta1, beta2)."""
+    """Element a1 + a2*e2 + a3*e3 + a4*e4 of H(beta1, beta2), stored as the
+    integers ``nums`` over ``den``; ``a1``..``a4`` and ``coeffs`` read the
+    coefficients as ``Fraction``s."""
 
     params: AlgebraParams
-    a1: Fraction
-    a2: Fraction
-    a3: Fraction
-    a4: Fraction
+    nums: tuple[int, int, int, int]
+    den: int
+    _ALGEBRA = "params"
+    a1, a2, a3, a4 = map(_coefficient, range(4))
 
-    def __post_init__(self) -> None:
-        for name in ("a1", "a2", "a3", "a4"):
-            object.__setattr__(self, name, _to_rat(getattr(self, name)))
+    def __init__(
+        self, params: AlgebraParams, a1: Rat | int, a2: Rat | int, a3: Rat | int, a4: Rat | int
+    ) -> None:
+        self._fill(params, *_integer_form((a1, a2, a3, a4)))
 
     @classmethod
     def from_coeffs(cls, params: AlgebraParams, coeffs) -> Quaternion:
-        c = tuple(map(_to_rat, coeffs))
-        if len(c) != 4:
-            raise ValueError(f"need exactly 4 coefficients, got {len(c)}")
-        return cls(params, *c)
+        nums, den = _integer_form(coeffs)
+        if len(nums) != 4:
+            raise ValueError(f"need exactly 4 coefficients, got {len(nums)}")
+        return cls._of(params, nums, den)
 
     @classmethod
     def zero(cls, params: AlgebraParams) -> Quaternion:
-        return cls(params, 0, 0, 0, 0)
+        return cls._of(params, (0, 0, 0, 0), 1)
 
     @classmethod
     def one(cls, params: AlgebraParams) -> Quaternion:
-        return cls(params, 1, 0, 0, 0)
+        return cls._of(params, (1, 0, 0, 0), 1)
 
     @classmethod
     def basis(cls, params: AlgebraParams) -> tuple[Quaternion, ...]:
         """(1, e2, e3, e4)."""
-        return tuple(
-            cls(params, *(1 if j == i else 0 for j in range(4))) for i in range(4)
-        )
-
-    @property
-    def coeffs(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.a1, self.a2, self.a3, self.a4)
-
-    def _like(self, coeffs) -> Quaternion:
-        return Quaternion(self.params, *coeffs)
+        return tuple(cls._of(params, tuple(int(j == i) for j in range(4)), 1) for i in range(4))
 
     def _require_same(self, other: Quaternion) -> None:
         if self.params != other.params:
@@ -162,17 +231,20 @@ class Quaternion(_Element):
             )
 
     def __mul__(self, other: Quaternion | Rat | int) -> Quaternion:
-        return self._times(other, (-self.params.beta1, -self.params.beta2))
+        b1, b2 = self.params.beta1, self.params.beta2
+        return self._times(other, [(-b.numerator, b.denominator) for b in (b1, b2)])
 
     def conjugate(self) -> Quaternion:
         """(a1, -a2, -a3, -a4); satisfies x * conj(x) = norm(x) * 1."""
-        return Quaternion(self.params, self.a1, -self.a2, -self.a3, -self.a4)
+        x1, x2, x3, x4 = self.nums
+        return self._like((x1, -x2, -x3, -x4), self.den)
 
     def norm(self) -> Fraction:
         """a1^2 + b1*a2^2 + b2*a3^2 + b1*b2*a4^2 on the integers of :func:`_norm_coefficients`."""
-        c = _norm_coefficients(self.params)
-        support, d = _integer_support(self.coeffs)
-        return Fraction(sum(c[k] * v * v for k, v in support), c[0] * d * d)
+        c0, c1, c2, c3 = _norm_coefficients(self.params)
+        x1, x2, x3, x4 = self.nums
+        form = c0 * x1 * x1 + c1 * x2 * x2 + c2 * x3 * x3 + c3 * x4 * x4
+        return Fraction(form, c0 * self.den**2)
 
     def inverse(self) -> Quaternion:
         n = self.norm()
@@ -219,35 +291,27 @@ def _reorder_parity(mask: int) -> int:
     return parity
 
 
-def _integer_support(coeffs: tuple[Fraction, ...]) -> tuple[list[tuple[int, int]], int]:
-    """The nonzero coefficients of an element as (blade mask, integer)
-    pairs, scaled by the lcm ``d`` of their denominators, and ``d``; a zero
-    ``Fraction`` has denominator 1, so taking it into the lcm is harmless."""
-    ratios = list(map(Fraction.as_integer_ratio, coeffs))
-    d = lcm(*(q for _, q in ratios))
-    return [(mask, p * (d // q)) for mask, (p, q) in enumerate(ratios) if p], d
-
-
 def _product(
-    squares: tuple[Fraction, ...], x: tuple[Fraction, ...], y: tuple[Fraction, ...]
-) -> tuple[Fraction, ...]:
-    """Coefficients of the product of two elements of the Clifford algebra
-    whose generators square to ``squares``, computed on integers over their
-    nonzero blades.
+    parts: tuple[tuple[int, int], ...],
+    x: tuple[tuple[int, ...], int],
+    y: tuple[tuple[int, ...], int],
+) -> tuple[list[int] | tuple[int, ...], int]:
+    """The product of two elements of the Clifford algebra whose generators
+    square to n_k/d_k = ``parts``, from their integer forms ``(nums, den)``:
+    integer slots and their common denominator, which the caller brings to
+    lowest terms.
 
-    Each operand is scaled to integers by the lcm of its denominators
-    (dx, dy).  With squares s_k = n_k/d_k and T = prod d_k, the generators
-    c common to two blades contract to M(c)/T, where
-    M(c) = prod_{k in c} n_k * prod_{k not in c} d_k is an integer.  Every
-    term lands on an integer slot, and the slots are divided once by
-    dx*dy*T at the end.
+    With T = prod d_k, the generators c common to two blades contract to
+    M(c)/T, where M(c) = prod_{k in c} n_k * prod_{k not in c} d_k is an
+    integer.  So every term of the numerators' product lands on an integer
+    slot, over the denominator dx*dy*T.
 
-    Two strategies fill the slots.  The pair loop (:func:`_pair_loop`)
-    takes one step per pair of nonzero blades.  Packed rows
-    (:func:`_packed_rows`) take one multiply-add per blade of x and about
-    2^(n/2 + 1) steps of a dozen big-int operations, all on ints of 64 bits
-    per blade, and win unless y is sparse: with ``dim = 2^n`` blades they
-    run when ``|x| * |y| > 8 * dim``, ``16 * |y| > dim`` and
+    Two strategies fill the slots from the nonzero blades of x and y.  The
+    pair loop (:func:`_pair_loop`) takes one step per pair of them.  Packed
+    rows (:func:`_packed_rows`) take one multiply-add per blade of x and
+    about 2^(n/2 + 1) steps of a dozen big-int operations, all on ints of
+    64 bits per blade, and win unless y is sparse: with ``dim = 2^n``
+    blades they run when ``|x| * |y| > 8 * dim``, ``16 * |y| > dim`` and
     ``sum|a| * max|b| * prod max(|n_k|, d_k)``, a bound on every slot and
     on every field they form on the way, fits in 63 bits.  So quaternions,
     blades, vectors and bivectors, and products with a sparse right operand
@@ -257,9 +321,8 @@ def _product(
     with single runs down to 0.9x where ``|x| * |y|`` is just above
     ``8 * dim``.
     """
-    xs, dx = _integer_support(x)
-    ys, dy = _integer_support(y)
-    parts = [(s.numerator, s.denominator) for s in squares]
+    (xn, dx), (yn, dy) = x, y
+    xs, ys = list(compress(enumerate(xn), xn)), list(compress(enumerate(yn), yn))
     dim = 1 << len(parts)
     if (
         len(xs) * len(ys) > 8 * dim
@@ -271,9 +334,7 @@ def _product(
         acc = _packed_rows(parts, xs, ys)
     else:
         acc = _pair_loop(parts, xs, ys)
-    den = dx * dy * prod(d for _, d in parts)
-    zero = Fraction(0)
-    return tuple(Fraction(v, den) if v else zero for v in acc)
+    return acc, dx * dy * prod(d for _, d in parts)
 
 
 def _pair_loop(
@@ -344,7 +405,7 @@ def _packed_rows(
     def left(k: int, row: int) -> int:
         step = steps[k]
         if step is None:
-            step = steps[k] = _left_step(k, dim, *parts[k], offsets)
+            step = steps[k] = _left_step(k, dim, *parts[k])
         flip, low, shift, mag, d, correction = step
         row ^= flip
         half = row & low
@@ -395,7 +456,7 @@ def _packed_rows(
     return struct.unpack(f"<{dim}q", fields)
 
 
-def _left_step(k: int, dim: int, n: int, d: int, offsets: int) -> tuple[int, ...]:
+def _left_step(k: int, dim: int, n: int, d: int) -> tuple[int, ...]:
     """What multiplies a packed row by g_k, with g_k^2 = n/d, on the left:
     ``(flip, low, shift, |n|, d, correction)``.
 
@@ -404,8 +465,30 @@ def _left_step(k: int, dim: int, n: int, d: int, offsets: int) -> tuple[int, ...
     when n < 0, of m holding k) into -r - 1; ``low`` selects the fields
     without k, which move up by ``shift`` bits and scale by d, while the
     others move down and scale by |n|; and ``correction`` restores the
-    offsets and the ones that the XOR left out.
+    offsets and the ones that the XOR left out.  The masks depend only on
+    k, ``dim`` and the sign of n (:func:`_left_masks`); the correction
+    weighs four of them by |n| and d.
     """
+    masks = _left_masks if dim <= _MEMO_DIM else _left_masks.__wrapped__
+    flip, low, shift, high_offsets, low_offsets, owed_up, owed_down = masks(k, dim, n < 0)
+    mag = abs(n)
+    correction = (
+        high_offsets * (d - 1) + low_offsets * (mag - 1) - owed_up * d - owed_down * mag
+    )
+    return flip, low, shift, mag, d, correction
+
+
+#: Largest ``dim`` whose masks :func:`_left_masks` keeps: about 1.8 MB for
+#: every k, sign and dim up to it; one mask at rank 16 alone takes 512 KB.
+_MEMO_DIM = 1 << 10
+
+
+@lru_cache(maxsize=None)
+def _left_masks(k: int, dim: int, negative: bool) -> tuple[int, ...]:
+    """``(flip, low, shift, high_offsets, low_offsets, owed_up, owed_down)``
+    of :func:`_left_step`: the offsets of the fields that scale by d and by
+    |n|, and the ones owed to the fields that move up and down."""
+    offsets = int.from_bytes(b"\0\0\0\0\0\0\0\x80" * dim, "little")
     block = 8 << k
     low = int.from_bytes((b"\xff" * block + bytes(block)) * (dim >> k + 1), "little")
     parity, inverse = bytes(8), b"\xff" * 8  # fields t < 2^k of odd popcount
@@ -413,17 +496,15 @@ def _left_step(k: int, dim: int, n: int, d: int, offsets: int) -> tuple[int, ...
         parity, inverse = parity + inverse, inverse + parity
     shift = 64 << k
     flip = int.from_bytes(parity * (dim >> k), "little")
-    if n < 0:
+    if negative:
         flip ^= low << shift
-    mag = abs(n)
     low_offsets = offsets & low
     owed = (flip & offsets) >> 63
     low_owed = owed & low
-    correction = (
-        (offsets ^ low_offsets) * (d - 1) + low_offsets * (mag - 1)
-        - (low_owed << shift) * d - ((owed ^ low_owed) >> shift) * mag
+    return (
+        flip, low, shift, offsets ^ low_offsets, low_offsets,
+        low_owed << shift, (owed ^ low_owed) >> shift,
     )
-    return flip, low, shift, mag, d, correction
 
 
 def is_division_algebra(params: AlgebraParams) -> bool:
@@ -460,13 +541,21 @@ def scale_isomorphism(
             f"scale factors must be nonzero (got x={format_rat(x)}, y={format_rat(y)})"
         )
     target = AlgebraParams(x * x * params.beta1, y * y * params.beta2)
-    zero = Fraction(0)
+    (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
     return target, BasisMap(params, target, (
-        Quaternion(target, Fraction(1), zero, zero, zero),
-        Quaternion(target, zero, 1 / x, zero, zero),
-        Quaternion(target, zero, zero, 1 / y, zero),
-        Quaternion(target, zero, zero, zero, 1 / (x * y)),
+        _basis_multiple(target, 0, 1, 1),
+        _basis_multiple(target, 1, xd, xn),
+        _basis_multiple(target, 2, yd, yn),
+        _basis_multiple(target, 3, xd * yd, xn * yn),
     ))
+
+
+def _basis_multiple(params: AlgebraParams, k: int, p: int, q: int) -> Quaternion:
+    """Basis element k of (1, e2, e3, e4) times p/q, for integers p and q != 0."""
+    g = gcd(p, q) if q > 0 else -gcd(p, q)
+    nums = [0, 0, 0, 0]
+    nums[k] = p // g
+    return Quaternion._of(params, tuple(nums), q // g)
 
 
 def _rat_sqrt(value: Fraction) -> Fraction | None:
@@ -499,12 +588,14 @@ def zero_divisor_witness(params: AlgebraParams) -> Quaternion | None:
     for value, slot in ((-b1, 1), (-b2, 2), (-b1 * b2, 3)):
         t = _rat_sqrt(value)
         if t is not None and t != 0:
-            coeffs = [Fraction(1), Fraction(0), Fraction(0), Fraction(0)]
-            coeffs[slot] = 1 / t
-            return Quaternion.from_coeffs(params, coeffs)
+            p, q = t.as_integer_ratio()  # 1 + e_k/t = (p + q*e_k)/p
+            nums = [p, 0, 0, 0]
+            nums[slot] = q
+            return Quaternion._of(params, tuple(nums), p)
     t = _rat_sqrt(-b1 / b2)
     if t is not None and t != 0:
-        return Quaternion.from_coeffs(params, (0, 1, t, 0))
+        p, q = t.as_integer_ratio()
+        return Quaternion._of(params, (0, q, p, 0), q)
     c0, c1, c2, c3 = _norm_coefficients(params)
     for height in range(1, MAX_WITNESS_HEIGHT + 1):
         # The norm is even in each coordinate, so the first zero of this height
@@ -515,5 +606,5 @@ def zero_divisor_witness(params: AlgebraParams) -> Quaternion | None:
                 max(x1, x2, x3, x4) == height
                 and c0 * x1 * x1 + c1 * x2 * x2 + c2 * x3 * x3 + c3 * x4 * x4 == 0
             ):
-                return Quaternion.from_coeffs(params, (-x1, -x2, -x3, -x4))
+                return Quaternion._of(params, (-x1, -x2, -x3, -x4), 1)
     return None

@@ -188,18 +188,25 @@ def _rewrite_word(mask_a: int, mask_b: int) -> tuple[int, tuple[int, ...], int]:
 
 
 def clifford_mul_reference(x: CliffordElement, y: CliffordElement) -> CliffordElement:
-    """Bilinear extension of ``blade_product_rewrite``: every pair of
-    nonzero blades is rewritten word by word and added in ``Fraction``s;
-    independent of the sign rule and integer scaling in the package.  The
-    squares multiply in once per sign and set of contracted generators."""
+    """``x * y`` from :func:`clifford_product_coeffs`."""
     assert x.form == y.form
-    squares = x.form.squares
+    return CliffordElement(x.form, clifford_product_coeffs(x.coeffs, y.coeffs, x.form.squares))
+
+
+def clifford_product_coeffs(
+    x: tuple[Fraction, ...], y: tuple[Fraction, ...], squares: tuple[Fraction, ...]
+) -> list[Fraction]:
+    """Bilinear extension of ``blade_product_rewrite`` to the coefficient
+    tuples ``x`` and ``y``: every pair of nonzero blades is rewritten word
+    by word and added in ``Fraction``s; independent of the sign rule and
+    integer scaling in the package.  The squares multiply in once per sign
+    and set of contracted generators."""
     coeffs: dict[tuple[int, tuple[int, ...]], Fraction] = {}
-    out = [Fraction(0)] * x.form.dim
-    for i, xi in enumerate(x.coeffs):
+    out = [Fraction(0)] * len(x)
+    for i, xi in enumerate(x):
         if not xi:
             continue
-        for j, yj in enumerate(y.coeffs):
+        for j, yj in enumerate(y):
             if not yj:
                 continue
             sign, contracted, mask = _rewrite_word(i, j)
@@ -207,7 +214,7 @@ def clifford_mul_reference(x: CliffordElement, y: CliffordElement) -> CliffordEl
             if coeff is None:
                 coeff = coeffs[sign, contracted] = _word_coefficient(sign, contracted, squares)
             out[mask] += xi * yj * coeff
-    return CliffordElement(x.form, tuple(out))
+    return out
 
 
 def rank2_as_quaternion(x: CliffordElement) -> Quaternion:

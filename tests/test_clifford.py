@@ -263,10 +263,10 @@ def packed_row_calls(monkeypatch) -> list:
 def packed_rows_product(x: CliffordElement, y: CliffordElement) -> CliffordElement:
     """``x * y`` from ``quat._packed_rows`` alone, whichever strategy
     ``quat._product`` picks for the pair."""
-    xs, dx = quat._integer_support(x.coeffs)
-    ys, dy = quat._integer_support(y.coeffs)
+    xs = [(i, a) for i, a in enumerate(x.nums) if a]
+    ys = [(j, b) for j, b in enumerate(y.nums) if b]
     parts = [(s.numerator, s.denominator) for s in x.form.squares]
-    den = dx * dy * prod(d for _, d in parts)
+    den = x.den * y.den * prod(d for _, d in parts)
     slots = quat._packed_rows(parts, xs, ys)
     return CliffordElement(x.form, tuple(Fraction(v, den) for v in slots))
 

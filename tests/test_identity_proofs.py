@@ -24,6 +24,7 @@ from functools import partial
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, settings
 
 import test_fib
 import test_fibquat
@@ -46,6 +47,7 @@ from test_fibquat import (
     assert_search_steps_pinned,
     assert_seeded_discriminant_matches_reference,
 )
+from test_integer_form import check_integer_form
 from test_quat import assert_witness_matches_reference
 
 # ``fibclifford.fib`` as an attribute is the function ``fib``, not the module
@@ -175,15 +177,30 @@ def _replace_everywhere(monkeypatch, original, replacement) -> None:
                     monkeypatch.setattr(module, attr, replacement)
 
 
-def _mutate(monkeypatch, module, name: str, old: str, new: str) -> None:
-    """Recompile ``module.name`` from its source with ``old`` replaced by ``new``."""
-    original = getattr(module, name)
+def _mutate(monkeypatch, owner, name: str, old: str, new: str) -> None:
+    """Recompile ``owner.name``, a function of a module or a method of a
+    class, from its source with ``old`` replaced by ``new``."""
+    original = getattr(owner, name)
     source = textwrap.dedent(inspect.getsource(original))
     assert source.count(old) == 1, old
+    module = sys.modules[original.__module__]
     namespace = dict(vars(module))
     flags = __future__.annotations.compiler_flag
     exec(compile(source.replace(old, new), module.__file__, "exec", flags), namespace)
-    _replace_everywhere(monkeypatch, original, namespace[name])
+    if isinstance(owner, type):
+        monkeypatch.setattr(owner, name, namespace[name])
+    else:
+        _replace_everywhere(monkeypatch, original, namespace[name])
+
+
+def _without_shrinking(monkeypatch, test):
+    """The hypothesis test ``test`` with its own settings, less the phases
+    after generation: every example still runs, but a failure that the
+    caller expects is not shrunk, which takes most of the time there."""
+    current = test._hypothesis_internal_use_settings
+    phases = [Phase.explicit, Phase.reuse, Phase.generate]
+    monkeypatch.setattr(test, "_hypothesis_internal_use_settings", settings(current, phases=phases))
+    return test
 
 
 def _multiplication_table_passes() -> bool:
@@ -223,7 +240,8 @@ def test_perturbed_growth_coefficient_fails_the_proof_and_selftest(monkeypatch, 
 
 
 def test_wrong_scaling_image_fails_the_proof(monkeypatch):
-    _mutate(monkeypatch, quat, "scale_isomorphism", "1 / (x * y)", "1 / (x * x)")
+    """e4's image 1/(x*x) instead of 1/(x*y)."""
+    _mutate(monkeypatch, quat, "scale_isomorphism", "3, xd * yd, xn * yn", "3, xd * xd, xn * xn")
     with pytest.raises(AssertionError):
         prove_scaling()
 
@@ -245,8 +263,8 @@ def test_broken_product_kernel_fails_the_reference_check(monkeypatch, old, new):
 @pytest.mark.parametrize(
     "name,old,new",
     [
-        ("_left_step", "flip ^= low << shift", "flip ^= 0"),
-        ("_left_step", "parity + inverse, inverse + parity", "parity + parity, inverse + inverse"),
+        ("_left_masks", "flip ^= low << shift", "flip ^= 0"),
+        ("_left_masks", "parity + inverse, inverse + parity", "parity + parity, inverse + inverse"),
         ("_left_step", "low_offsets * (mag - 1)", "low_offsets * mag"),
         ("_packed_rows", "* d + ((row ^ half) >> shift) * mag", "* mag + ((row ^ half) >> shift) * d"),
         ("_packed_rows", "// parts[m + k][1]", "// 1"),
@@ -275,6 +293,22 @@ def test_broken_packed_rows_fail_the_reference_check(monkeypatch, name, old, new
     _mutate(monkeypatch, quat, name, old, new)
     with pytest.raises((AssertionError, OverflowError)):
         assert_product_matches_reference(x, y)
+
+
+@pytest.mark.parametrize(
+    "name,old,new",
+    [
+        ("_reduced", "g = gcd(den, *nums)", "g = 1"),
+        ("_combine", "op(a * sx, b * sy)", "op(a, b)"),
+    ],
+    ids=["no-final-gcd", "no-lcm-rescale"],
+)
+def test_broken_integer_form_fails_the_fraction_reference(monkeypatch, name, old, new):
+    """Results left out of lowest terms, or sums of numerators over
+    different denominators taken as they are."""
+    _mutate(monkeypatch, quat._Element, name, old, new)
+    with pytest.raises(AssertionError):
+        check_integer_form(1000, seed=21)
 
 
 def test_broken_sign_rule_fails_the_quaternion_reference_and_selftest(monkeypatch):
@@ -374,8 +408,8 @@ def test_closed_form_without_the_conjugate_fails_the_closed_form_tests(monkeypat
         test_fibquat.test_norm_closed_form_values(test_fibquat.HALF, 1, Fraction(3, 4))
     for test in (
         partial(test_fibquat.test_norm_closed_form_matches_direct_norm, test_fibquat.HALF),
-        test_fibquat.test_norm_closed_form_random_algebras,
-        test_fibquat.test_horadam_norm_closed_form_matches_direct,
+        _without_shrinking(monkeypatch, test_fibquat.test_norm_closed_form_random_algebras),
+        _without_shrinking(monkeypatch, test_fibquat.test_horadam_norm_closed_form_matches_direct),
     ):
         with pytest.raises(AssertionError):
             test()
