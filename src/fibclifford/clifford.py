@@ -20,12 +20,13 @@ both entries negative) or H(-1, -1) (split, otherwise).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
 from .errors import DegenerateFormError, MixedFormsError
 from .exactnum import QSqrt5, Rat, _signed_sum, _to_rat, format_rat
+from .fib import HoradamParams
 from .fibquat import (
     ThresholdCertificate,
     _basis_norms,
@@ -33,6 +34,7 @@ from .fibquat import (
     _discriminant,
     _e_prime,
     _growth_integers,
+    _seeded_growth,
 )
 from .quat import AlgebraParams, _Element, _integer_form, _reorder_parity, is_division_algebra
 
@@ -41,9 +43,14 @@ MAX_GENERATORS = 16
 
 @dataclass(frozen=True, slots=True)
 class DiagonalForm:
-    """Nondegenerate diagonal quadratic form: the tuple of generator squares."""
+    """Nondegenerate diagonal quadratic form: the tuple of generator squares.
+
+    ``_products`` holds what every product over the form shares
+    (``quat._constants``), built on the first one; it takes no part in
+    ``==``, ``hash`` or ``repr``."""
 
     squares: tuple[Fraction, ...]
+    _products: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         squares = tuple(map(_to_rat, self.squares))
@@ -58,6 +65,16 @@ class DiagonalForm:
                 )
         object.__setattr__(self, "squares", squares)
 
+    @classmethod
+    def _of(cls, squares: tuple[Fraction, ...]) -> DiagonalForm:
+        """The form of nonzero ``Fraction`` squares, at most ``MAX_GENERATORS``
+        of them, taken as they are: the constructor for forms the package
+        computed itself."""
+        new = object.__new__(cls)
+        object.__setattr__(new, "squares", squares)
+        object.__setattr__(new, "_products", None)
+        return new
+
     @property
     def rank(self) -> int:
         return len(self.squares)
@@ -68,6 +85,10 @@ class DiagonalForm:
 
     def __getitem__(self, i: int) -> Fraction:
         return self.squares[i]
+
+    def _parts(self) -> tuple[tuple[int, int], ...]:
+        """The squares as (numerator, denominator) pairs."""
+        return tuple(s.as_integer_ratio() for s in self.squares)
 
 
 def _diag(squares: tuple[Fraction, ...]) -> str:
@@ -159,7 +180,7 @@ class CliffordElement(_Element):
             )
 
     def __mul__(self, other: CliffordElement | Rat | int) -> CliffordElement:
-        return self._times(other, [s.as_integer_ratio() for s in self.form.squares])
+        return self._times(other, self.form)
 
     def __str__(self) -> str:
         return _signed_sum((c, blade_name(mask)) for mask, c in enumerate(self.coeffs) if c)
@@ -287,21 +308,32 @@ def classify(
     Optional integer seeds (p, q) additionally certify the threshold for
     the seeded quaternions H(n; p, q); seeds (0, 0) have a vanishing seeded
     discriminant and are rejected.
+
+    The seeds are checked here, once; every value below is the package's
+    own, so the form and E values are built as they are
+    (``DiagonalForm._of``, ``QSqrt5._of``), and the class is read off the
+    limit sign.  One constant-time check remains: the walk's two norms,
+    signed so that the limit is positive, must both be positive, which puts
+    both form entries on the limit sign's side, as ``rank2_class`` reads
+    them.
     """
     if (p is None) != (q is None):
         raise ValueError("seeds p and q must be given together")
+    if p is not None:
+        HoradamParams(p, q)
     growth = _growth_integers(params)
     certificate, (v0, v1) = _certify(params, growth, 0, 1)
     seeds = seeded_discriminant = seeded_certificate = None
     if p is not None:
-        seeds = (p, q)
-        seeded_discriminant = _e_prime(growth, p, q)
-        seeded_certificate = _certify(params, growth, p, q)[0]
-    c0 = growth[0][0] * certificate.limit_sign
-    form = DiagonalForm((Fraction(v0, c0), Fraction(v1, c0)))
-    clifford_class = rank2_class(form)
-    if (clifford_class is CliffordClass.DIVISION) != (certificate.limit_sign < 0):
-        raise AssertionError("form-entry route and discriminant route disagree")
+        seeds, pair = (p, q), _seeded_growth(growth, p, q)
+        seeded_discriminant = _e_prime(growth, pair)
+        seeded_certificate = _certify(params, growth, p, q, pair)[0]
+    if v0 <= 0 or v1 <= 0:
+        raise AssertionError("the form at n' does not carry the limit sign")
+    sign = certificate.limit_sign
+    c0 = growth[0][0]
+    form = DiagonalForm._of((Fraction(sign * v0, c0), Fraction(sign * v1, c0)))
+    clifford_class = CliffordClass.DIVISION if sign < 0 else CliffordClass.SPLIT
     return ClassificationReport(
         params, _discriminant(growth), certificate, form, clifford_class,
         seeds, seeded_discriminant, seeded_certificate,

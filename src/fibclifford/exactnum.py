@@ -140,6 +140,15 @@ class QSqrt5:
         object.__setattr__(self, "b", _to_rat(self.b))
 
     @classmethod
+    def _of(cls, a: Fraction, b: Fraction) -> QSqrt5:
+        """``a + b*sqrt(5)`` for ``Fraction``s a and b, taken as they are: the
+        constructor for values the package computed itself."""
+        new = object.__new__(cls)
+        object.__setattr__(new, "a", a)
+        object.__setattr__(new, "b", b)
+        return new
+
+    @classmethod
     def from_rat(cls, value: Rat | int) -> QSqrt5:
         return cls(value, Fraction(0))
 

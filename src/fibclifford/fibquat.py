@@ -36,8 +36,18 @@ discriminant E' = (p + q*alpha)^2 * E / 5 divide the growth integers and
 the certificate's limit element by 10*d1*d2 and 200*d1*d2, and the basis
 norms n(F(n)), n(F(n+1)) of the coordinate space divide the direct check's
 integer d1*d2*n(.) by d1*d2.  ``classify`` evaluates the growth integers
-once and hands them to both certificates, and reads its form at n' off the
-two integers d1*d2*n(.) that the plain certificate's walk hands back.
+once and hands them to both certificates, evaluates the seeded pair
+(:func:`_seeded_growth`) once for E' and the seeded certificate, and reads
+its form at n' off the two integers d1*d2*n(.) that the plain certificate's
+walk hands back.
+
+Seeds are checked once, at the public entry points that take them
+(``horadam_invertibility_threshold``, ``horadam_growth_discriminant``,
+``horadam_quaternion``, ``horadam_norm_closed_form`` and ``classify``):
+every non-``int`` seed raises ``TypeError`` there, before any arithmetic on
+it.  The private helpers below take checked seeds and the package's own
+integers as they are, and build their ``QSqrt5`` results through the
+trusted ``QSqrt5._of``.
 
 Horadam quaternions H(n; p, q) carry coefficients (h(n), ..., h(n+3)) of the
 seeded sequence h(0) = p, h(1) = q, read off ``fib._window`` like every
@@ -190,17 +200,16 @@ def _discriminant(growth: _Growth) -> QSqrt5:
     """E = S+/5 = (x + y*sqrt 5)/(10*d1*d2) from :func:`_growth_integers`."""
     c, x, y, _ = growth
     den = 10 * c[0]
-    return QSqrt5(Fraction(x, den), Fraction(y, den))
+    return QSqrt5._of(Fraction(x, den), Fraction(y, den))
 
 
 def _seeded_growth(growth: _Growth, p: int, q: int) -> tuple[int, int]:
     """(gx, gy) with gx + gy*sqrt 5 = (2A)^2 * (2 d1 d2 S+), A = p + q*alpha.
 
     This is 200*d1*d2 times the seeded discriminant E' = A^2 * E / 5, so
-    its sign is the limit sign of :func:`_certify`.  The seeds are checked
-    before any arithmetic on them.
+    its sign is the limit sign of :func:`_certify`.  The seeds must be
+    integers; the public entry points check them.
     """
-    HoradamParams(p, q)
     _, x, y, _ = growth
     # 2A = (2p + q) + q*sqrt5
     a, b = 2 * p + q, q
@@ -208,11 +217,12 @@ def _seeded_growth(growth: _Growth, p: int, q: int) -> tuple[int, int]:
     return ax * x + 5 * ay * y, ax * y + ay * x
 
 
-def _e_prime(growth: _Growth, p: int, q: int) -> QSqrt5:
-    """E' = (gx + gy*sqrt 5)/(200*d1*d2), with (gx, gy) from :func:`_seeded_growth`."""
-    gx, gy = _seeded_growth(growth, p, q)
+def _e_prime(growth: _Growth, pair: tuple[int, int]) -> QSqrt5:
+    """E' = (gx + gy*sqrt 5)/(200*d1*d2) for the pair (gx, gy) of
+    :func:`_seeded_growth`."""
+    gx, gy = pair
     den = 200 * growth[0][0]
-    return QSqrt5(Fraction(gx, den), Fraction(gy, den))
+    return QSqrt5._of(Fraction(gx, den), Fraction(gy, den))
 
 
 def growth_profile(params: AlgebraParams) -> GrowthProfile:
@@ -221,8 +231,8 @@ def growth_profile(params: AlgebraParams) -> GrowthProfile:
     golden ratio a, S- at its conjugate, S0 = 1 - b1 + b2 - b1*b2)."""
     growth = c, x, y, z = _growth_integers(params)
     den = c[0]
-    dominant = QSqrt5(Fraction(x, 2 * den), Fraction(y, 2 * den))
-    oscillating = QSqrt5.from_rat(Fraction(z, den))
+    dominant = QSqrt5._of(Fraction(x, 2 * den), Fraction(y, 2 * den))
+    oscillating = QSqrt5._of(Fraction(z, den), Fraction(0))
     return GrowthProfile(dominant, dominant.conjugate(), oscillating, _discriminant(growth))
 
 
@@ -240,7 +250,9 @@ def growth_discriminant(params: AlgebraParams) -> QSqrt5:
 
 def horadam_growth_discriminant(params: AlgebraParams, p: int, q: int) -> QSqrt5:
     """Seeded discriminant (p + q*alpha)^2 * E / 5; zero only for p = q = 0."""
-    return _e_prime(_growth_integers(params), p, q)
+    HoradamParams(p, q)
+    growth = _growth_integers(params)
+    return _e_prime(growth, _seeded_growth(growth, p, q))
 
 
 def norm_closed_form(n: int, params: AlgebraParams) -> Rat:
@@ -268,11 +280,13 @@ def horadam_norm_closed_form(n: int, params: AlgebraParams, p: int, q: int) -> R
 
 
 def _certify(
-    params: AlgebraParams, growth: _Growth, p: int, q: int
+    params: AlgebraParams, growth: _Growth, p: int, q: int, pair: tuple[int, int] | None = None
 ) -> tuple[ThresholdCertificate, tuple[int, int]]:
     """Certified minimal threshold for the norms of H(n; p, q); seeds (0, 1)
     give F(n) itself.  Pure integer arithmetic throughout, on the integers
-    ``growth`` of :func:`_growth_integers` for ``params``.  Also returns
+    ``growth`` of :func:`_growth_integers` for ``params`` and the pair
+    (gx, gy) of :func:`_seeded_growth` for the checked integer seeds, which
+    it evaluates unless the caller already has it.  Also returns
     (|v(n')|, |v(n'+1)|) = d1*d2*(|n(H(n'))|, |n(H(n'+1))|) from the walk
     below; both norms are nonzero and of the limit sign.
 
@@ -320,7 +334,7 @@ def _certify(
     quadratic with no rational root; so only seeds (0, 0), where A = 0,
     reach the zero check.
     """
-    gx, gy = _seeded_growth(growth, p, q)
+    gx, gy = pair or _seeded_growth(growth, p, q)
     limit_sign = _sign_z5(gx, gy)
     if limit_sign == 0:
         raise IndeterminateError(
@@ -402,6 +416,7 @@ def horadam_invertibility_threshold(
     A = p + q*alpha, B = p + q*beta.  Seeds (0, 0) raise
     :class:`IndeterminateError`; all other seeds certify.
     """
+    HoradamParams(p, q)
     return _certify(params, _growth_integers(params), p, q)[0]
 
 

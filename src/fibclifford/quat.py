@@ -33,7 +33,7 @@ returns None in that case).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
 from itertools import compress, product
@@ -51,10 +51,15 @@ from .exactnum import Rat, _signed_sum, _to_rat, format_rat
 
 @dataclass(frozen=True, slots=True)
 class AlgebraParams:
-    """Parameters (beta1, beta2) of H(beta1, beta2); both must be nonzero."""
+    """Parameters (beta1, beta2) of H(beta1, beta2); both must be nonzero.
+
+    ``_products`` holds what every product in the algebra shares
+    (:func:`_constants`), built on the first one; it takes no part in
+    ``==``, ``hash`` or ``repr``."""
 
     beta1: Fraction
     beta2: Fraction
+    _products: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         b1, b2 = _to_rat(self.beta1), _to_rat(self.beta2)
@@ -68,6 +73,10 @@ class AlgebraParams:
 
     def label(self) -> str:
         return f"H({format_rat(self.beta1)}, {format_rat(self.beta2)})"
+
+    def _parts(self) -> tuple[tuple[int, int], ...]:
+        """e2^2 = -beta1 and e3^2 = -beta2 as (numerator, denominator) pairs."""
+        return tuple((-b.numerator, b.denominator) for b in (self.beta1, self.beta2))
 
 
 _ZERO = Fraction(0)
@@ -101,9 +110,9 @@ class _Element:
 
     A subclass names its algebra's field in ``_ALGEBRA`` and supplies
     ``_require_same``, which rejects an element of another algebra.  Its own
-    ``__mul__`` passes the generator squares, as (numerator, denominator)
-    pairs, to :meth:`_times`: ``perfbench/tracing.py`` counts the products
-    of each class from the methods in that class's own body."""
+    ``__mul__`` passes its algebra to :meth:`_times`:
+    ``perfbench/tracing.py`` counts the products of each class from the
+    methods in that class's own body."""
 
     __slots__ = ()
 
@@ -161,13 +170,14 @@ class _Element:
     def __neg__(self):
         return self._like(tuple(map(neg, self.nums)), self.den)
 
-    def _times(self, other, parts: tuple[tuple[int, int], ...]):
+    def _times(self, other, algebra):
         """``self * other`` for a rational ``other`` or an element of the same
-        algebra, multiplied on :func:`_product`; ``parts`` holds the squares
-        of the generators as (numerator, denominator) pairs."""
+        algebra, ``algebra``, multiplied on :func:`_product` with that
+        algebra's constants."""
         if isinstance(other, type(self)):
             self._require_same(other)
-            return self._reduced(*_product(parts, (self.nums, self.den), (other.nums, other.den)))
+            x, y = (self.nums, self.den), (other.nums, other.den)
+            return self._reduced(*_product(_constants(algebra), x, y))
         if isinstance(other, (int, Fraction)):
             p, q = _to_rat(other).as_integer_ratio()
             return self._reduced([v * p for v in self.nums], self.den * q)
@@ -231,8 +241,7 @@ class Quaternion(_Element):
             )
 
     def __mul__(self, other: Quaternion | Rat | int) -> Quaternion:
-        b1, b2 = self.params.beta1, self.params.beta2
-        return self._times(other, [(-b.numerator, b.denominator) for b in (b1, b2)])
+        return self._times(other, self.params)
 
     def conjugate(self) -> Quaternion:
         """(a1, -a2, -a3, -a4); satisfies x * conj(x) = norm(x) * 1."""
@@ -291,20 +300,42 @@ def _reorder_parity(mask: int) -> int:
     return parity
 
 
+_Constants = tuple[tuple[tuple[int, int], ...], int, dict[int, int] | None]
+
+
+def _constants(algebra) -> _Constants:
+    """``(parts, T, memo)`` for the products in ``algebra``, an
+    ``AlgebraParams`` or a ``clifford.DiagonalForm``: the generator squares
+    n_k/d_k as (n_k, d_k) pairs, T = prod d_k, and the memo of M(c) that
+    :func:`_pair_loop` fills, kept while ``dim <= _MEMO_DIM`` as the masks
+    of :func:`_left_masks` are, and None above.  Built on the algebra's
+    first product and kept in its ``_products`` field, so the constants
+    live and die with the algebra and no cache is keyed by value."""
+    constants = algebra._products
+    if constants is None:
+        parts = algebra._parts()
+        memo = {} if 1 << len(parts) <= _MEMO_DIM else None
+        constants = parts, prod(d for _, d in parts), memo
+        object.__setattr__(algebra, "_products", constants)
+    return constants
+
+
 def _product(
-    parts: tuple[tuple[int, int], ...],
+    constants: _Constants,
     x: tuple[tuple[int, ...], int],
     y: tuple[tuple[int, ...], int],
 ) -> tuple[list[int] | tuple[int, ...], int]:
     """The product of two elements of the Clifford algebra whose generators
-    square to n_k/d_k = ``parts``, from their integer forms ``(nums, den)``:
-    integer slots and their common denominator, which the caller brings to
-    lowest terms.
+    square to n_k/d_k, from their integer forms ``(nums, den)`` and the
+    algebra's :func:`_constants` (``parts`` = the pairs (n_k, d_k)): integer
+    slots and their common denominator, which the caller brings to lowest
+    terms.
 
     With T = prod d_k, the generators c common to two blades contract to
     M(c)/T, where M(c) = prod_{k in c} n_k * prod_{k not in c} d_k is an
     integer.  So every term of the numerators' product lands on an integer
-    slot, over the denominator dx*dy*T.
+    slot, over the denominator dx*dy*T.  T, and each M(c) while
+    ``dim <= _MEMO_DIM``, are computed once per algebra, not per product.
 
     Two strategies fill the slots from the nonzero blades of x and y.  The
     pair loop (:func:`_pair_loop`) takes one step per pair of them.  Packed
@@ -321,6 +352,7 @@ def _product(
     with single runs down to 0.9x where ``|x| * |y|`` is just above
     ``8 * dim``.
     """
+    parts, scale, memo = constants
     (xn, dx), (yn, dy) = x, y
     xs, ys = list(compress(enumerate(xn), xn)), list(compress(enumerate(yn), yn))
     dim = 1 << len(parts)
@@ -333,16 +365,22 @@ def _product(
     ):
         acc = _packed_rows(parts, xs, ys)
     else:
-        acc = _pair_loop(parts, xs, ys)
-    return acc, dx * dy * prod(d for _, d in parts)
+        acc = _pair_loop(parts, xs, ys, memo)
+    return acc, dx * dy * scale
 
 
 def _pair_loop(
-    parts: list[tuple[int, int]], xs: list[tuple[int, int]], ys: list[tuple[int, int]]
+    parts: tuple[tuple[int, int], ...],
+    xs: list[tuple[int, int]],
+    ys: list[tuple[int, int]],
+    metric: dict[int, int] | None = None,
 ) -> list[int]:
     """The integer slots of :func:`_product` for squares n_k/d_k = ``parts``,
-    one step per pair of nonzero blades, with M memoised per c."""
-    metric: dict[int, int] = {}
+    one step per pair of nonzero blades, with M(c) memoised per c in
+    ``metric``: the algebra's memo from :func:`_constants`, which serves
+    every product in it, or a fresh one."""
+    if metric is None:
+        metric = {}
     acc = [0] * (1 << len(parts))
     for i, a in xs:
         parity = _reorder_parity(i)

@@ -362,6 +362,32 @@ def test_packed_rows_match_the_pair_loop(rank):
         assert 1 << 62 <= sign * slots[0] < 1 << 63
 
 
+@pytest.mark.parametrize(
+    "square,scale,packed",
+    [(1, 1 << 59, False), (1, (1 << 59) - 1, True), (2, -(-(1 << 63) // 81), False)],
+    ids=["slot-at-2^63", "slot-below-2^63", "squares-of-2"],
+)
+def test_products_at_the_63_bit_bound(monkeypatch, square, scale, packed):
+    """Rank 4, squares (s, -s, s, -s), every blade of x equal to 1 and
+    y_i = scale * sign(e_i * e_i): the 16 terms of slot 0 all add, to
+    scale * sum_i |e_i * e_i|, which is 16 * scale for s = 1 and
+    3^4 * scale = 81 * scale for s = 2.  A packed field holds only slots
+    below 2^63, and the admission bound 16 * scale * s^4 is 2^63 exactly in
+    the first case and above it in the third, whose slot passes 2^63 while
+    16 * scale alone stays below; so both take the pair loop, and the
+    second, 16 below 2^63, takes packed rows."""
+    squares = (square, -square, square, -square)
+    form = DiagonalForm(squares)
+    x = CliffordElement(form, (1,) * 16)
+    signs = [1 if blade_product_rewrite(i, i, squares)[0] > 0 else -1 for i in range(16)]
+    y = CliffordElement(form, [scale * sign for sign in signs])
+    calls = packed_row_calls(monkeypatch)
+    z = x * y
+    assert z == clifford_mul_reference(x, y)
+    assert z.coeffs[0] == scale * (16 if square == 1 else 81)
+    assert len(calls) == packed
+
+
 def test_element_str():
     x = CliffordElement(NEG_NEG, (Fraction(1), Fraction(-2), Fraction(0), Fraction(1, 2)))
     assert str(x) == "1 - 2*e1 + 1/2*e1e2"

@@ -40,6 +40,7 @@ from oracles import (
     quaternion_mul_reference,
     weighted_even_powers,
 )
+from test_classify_report import check_reports
 from test_clifford import assert_product_matches_reference, seeded_dense_pair, small_dense_pair
 from test_fibquat import (
     assert_form_matches_reference,
@@ -425,6 +426,23 @@ def test_stale_walk_norms_fail_the_classify_form_reference(monkeypatch):
     with pytest.raises((AssertionError, DegenerateFormError)):
         report = clifford.classify(params)
         assert report.form.squares == fibonacci_form_reference(1, params)
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("DIVISION if sign < 0", "DIVISION if sign > 0"),
+        ("_e_prime(growth, pair)", "_e_prime(growth, _seeded_growth(growth, 0, 1))"),
+    ],
+    ids=["inverted-class-rule", "plain-pair-for-e-prime"],
+)
+def test_broken_classify_fails_the_report_check(monkeypatch, old, new):
+    """``classify`` reads its class off the limit sign, and its E' off the
+    seeded pair it evaluates once; either fault breaks reports that the
+    public routes pin."""
+    _mutate(monkeypatch, clifford, "classify", old, new)
+    with pytest.raises(AssertionError):
+        check_reports(2000, seed=22)
 
 
 def test_broken_norm_walk_fails_the_reference_check(monkeypatch):

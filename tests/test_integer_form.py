@@ -9,9 +9,10 @@ element the public constructor builds from the reference coefficients.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from fibclifford.clifford import CliffordElement, DiagonalForm
 from fibclifford.quat import AlgebraParams, Quaternion
@@ -131,3 +132,71 @@ def test_zero_and_units_are_canonical_whatever_the_route():
     half = Quaternion(AlgebraParams(1, 1), Fraction(1, 2), Fraction(-3, 4), 0, Fraction(5, 6))
     assert (half.nums, half.den) == ((6, -9, 0, 10), 12)
     assert (half.a1, half.a2, half.a3, half.a4) == half.coeffs
+
+
+def test_product_constants_leave_the_algebra_values_alone():
+    """Products fill an algebra's ``_products`` field, and ``==``, ``hash``,
+    ``repr`` and ``dataclasses.replace`` read the algebra as before."""
+    params = AlgebraParams(Fraction(-2, 3), 5)
+    form = DiagonalForm((Fraction(-1, 2), 3, Fraction(5, 3)))
+    seen = {algebra: (repr(algebra), hash(algebra)) for algebra in (params, form)}
+    x = Quaternion(params, 1, Fraction(1, 2), -3, 2)
+    g = CliffordElement(form, [Fraction(k, 3) for k in range(8)])
+    x * x, g * g  # fill both algebras' constants
+    for algebra, twin, changes in (
+        (params, AlgebraParams(Fraction(-2, 3), 5), {"beta2": 7}),
+        (form, DiagonalForm((Fraction(-1, 2), 3, Fraction(5, 3))), {"squares": (1, 2)}),
+    ):
+        assert algebra._products[2] and twin._products is None
+        assert (repr(algebra), hash(algebra)) == seen[algebra] == (repr(twin), hash(twin))
+        assert algebra == twin and {twin: 1}[algebra] == 1
+        copy = dataclasses.replace(algebra)
+        assert copy == algebra and hash(copy) == hash(algebra) and copy._products is None
+        changed = dataclasses.replace(algebra, **changes)
+        assert changed != algebra and changed._products is None
+    assert repr(params) == "AlgebraParams(beta1=Fraction(-2, 3), beta2=Fraction(5, 1))"
+    assert repr(form) == (
+        "DiagonalForm(squares=(Fraction(-1, 2), Fraction(3, 1), Fraction(5, 3)))"
+    )
+
+
+def test_products_through_a_warm_memo_equal_products_on_a_fresh_algebra():
+    """500 pairs, five per form of rank 0-8 with squares of both signs and
+    denominators up to 3: each product, taken again once the form's memo of
+    M(c) is warm, equals the product of the same coefficients on a fresh
+    form, and every memo entry is its product of n_k and d_k.  Quaternions
+    likewise, on one algebra per form."""
+    rng = random.Random(22)
+
+    def square() -> Fraction:
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 7), rng.randint(1, 3))
+
+    def coeffs(dim: int) -> list[Fraction]:
+        density = rng.uniform(0.05, 1.0)
+        return [_rational(rng) if rng.random() < density else 0 for _ in range(dim)]
+
+    for _ in range(100):
+        squares = tuple(square() for _ in range(rng.randint(0, 8)))
+        params = AlgebraParams(square(), square())
+        form = DiagonalForm(squares)
+        pairs = [
+            (CliffordElement(form, coeffs(form.dim)), CliffordElement(form, coeffs(form.dim)),
+             Quaternion.from_coeffs(params, coeffs(4)), Quaternion.from_coeffs(params, coeffs(4)))
+            for _ in range(5)
+        ]
+        for x, y, a, b in pairs:
+            x * y, a * b  # warm the memos
+        for x, y, a, b in pairs:
+            fresh_form = DiagonalForm(squares)
+            fresh_params = AlgebraParams(params.beta1, params.beta2)
+            z = CliffordElement(fresh_form, x.coeffs) * CliffordElement(fresh_form, y.coeffs)
+            c = Quaternion.from_coeffs(fresh_params, a.coeffs) * Quaternion.from_coeffs(
+                fresh_params, b.coeffs
+            )
+            assert ((x * y).nums, (x * y).den) == (z.nums, z.den)
+            assert ((a * b).nums, (a * b).den) == (c.nums, c.den)
+        for algebra in (form, params):
+            parts, scale, memo = algebra._products
+            assert scale == prod(d for _, d in parts)
+            for common, m in memo.items():
+                assert m == prod(n if common >> k & 1 else d for k, (n, d) in enumerate(parts))
