@@ -359,7 +359,6 @@ def _product(
     if (
         len(xs) * len(ys) > 8 * dim
         and 16 * len(ys) > dim
-        and abs(xs[0][1] * ys[0][1]) < 1 << 63  # one term, to turn wide ones away fast
         and sum(abs(a) for _, a in xs) * max(abs(b) for _, b in ys)
         * prod(max(abs(n), d) for n, d in parts) < 1 << 63
     ):
@@ -450,10 +449,11 @@ def _packed_rows(
         return (half << shift) * d + ((row ^ half) >> shift) * mag - correction
 
     high = 1 << n - m
-    # scales[h]: prod of d_k over the high generators k not in h
+    # scales[h]: prod of d_k over the high generators k not in h, from h
+    # less any one of its generators k (here the highest)
     scales = [prod(d for _, d in parts[m:])] * high
     for h in range(1, high):
-        k = (h & -h).bit_length() - 1
+        k = h.bit_length() - 1
         scales[h] = scales[h ^ 1 << k] // parts[m + k][1]
     rows: list[int | None] = [None] * high
     rows[0] = int.from_bytes(struct.pack(f"<{dim}q", *dense), "little") ^ offsets
@@ -596,17 +596,6 @@ def _basis_multiple(params: AlgebraParams, k: int, p: int, q: int) -> Quaternion
     return Quaternion._of(params, tuple(nums), q // g)
 
 
-def _rat_sqrt(value: Fraction) -> Fraction | None:
-    """Exact rational square root, or None if value is not a rational square."""
-    if value < 0:
-        return None
-    pn, pd = value.numerator, value.denominator
-    rn, rd = isqrt(pn), isqrt(pd)
-    if rn * rn == pn and rd * rd == pd:
-        return Fraction(rn, rd)
-    return None
-
-
 #: Largest coordinate height ``zero_divisor_witness`` searches.
 MAX_WITNESS_HEIGHT = 8
 
@@ -614,27 +603,24 @@ MAX_WITNESS_HEIGHT = 8
 def zero_divisor_witness(params: AlgebraParams) -> Quaternion | None:
     """A nonzero quaternion of zero norm, constructed deterministically.
 
-    Tries closed forms first (1 + e_k/t whenever the matching square root is
-    rational, then e2 + t*e3), then every integer vector of height <=
-    ``MAX_WITNESS_HEIGHT`` on the integer form of :func:`_norm_coefficients`.
-    Returns None for division algebras and for split algebras whose norm form
-    happens to be anisotropic over the rationals within the search bound.
+    Works on the integer form c of :func:`_norm_coefficients`.  Tries the
+    closed forms 1 + e_k/t first, whenever -c_k/c0 (-b1, -b2, then -b1*b2)
+    is the square of a rational t, then every integer vector of height <=
+    ``MAX_WITNESS_HEIGHT``.  Returns None for division algebras and for split
+    algebras whose norm form happens to be anisotropic over the rationals
+    within the search bound.
     """
     if is_division_algebra(params):
         return None
-    b1, b2 = params.beta1, params.beta2
-    for value, slot in ((-b1, 1), (-b2, 2), (-b1 * b2, 3)):
-        t = _rat_sqrt(value)
-        if t is not None and t != 0:
-            p, q = t.as_integer_ratio()  # 1 + e_k/t = (p + q*e_k)/p
-            nums = [p, 0, 0, 0]
-            nums[slot] = q
-            return Quaternion._of(params, tuple(nums), p)
-    t = _rat_sqrt(-b1 / b2)
-    if t is not None and t != 0:
-        p, q = t.as_integer_ratio()
-        return Quaternion._of(params, (0, q, p, 0), q)
     c0, c1, c2, c3 = _norm_coefficients(params)
+    for slot, ck in ((1, c1), (2, c2), (3, c3)):
+        # -c_k/c0 = t^2 exactly when -c_k*c0 = r^2, and then t = r/c0
+        square = -ck * c0
+        if square > 0 and (r := isqrt(square)) * r == square:
+            g = gcd(r, c0)  # t = p/q in lowest terms, and 1 + e_k/t = (p + q*e_k)/p
+            nums = [r // g, 0, 0, 0]
+            nums[slot] = c0 // g
+            return Quaternion._of(params, tuple(nums), r // g)
     for height in range(1, MAX_WITNESS_HEIGHT + 1):
         # The norm is even in each coordinate, so the first zero of this height
         # in lexicographic order over [-height, height]^4 is the negation of

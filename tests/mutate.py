@@ -43,49 +43,153 @@ SRC = ROOT / "src"
 
 CLASSIFY_TESTS = ["tests/test_classify_report.py", "tests/test_classify_corpus.py"]
 SEEDED_TESTS = [*CLASSIFY_TESTS, "tests/test_fibquat.py"]
+CERTIFY_TESTS = [*SEEDED_TESTS, "tests/test_threshold_ladder.py", "tests/test_identity_proofs.py"]
 PRODUCT_TESTS = ["tests/test_clifford.py", "tests/test_integer_form.py"]
+ELEMENT_TESTS = ["tests/test_integer_form.py", "tests/test_quat.py"]
+SCALING_TESTS = [*ELEMENT_TESTS, "tests/test_identity_proofs.py", "-k", "scal"]
+TEXT_TESTS = ["tests/test_exactnum.py", "tests/test_cli.py"]
 
 #: the tests each target's mutants run
 TESTS = {
     "clifford.classify": CLASSIFY_TESTS,
+    "clifford.blade_product": ["tests/test_clifford.py", "tests/test_acceptance.py"],
     "fibquat._seeded_growth": SEEDED_TESTS,
     "fibquat._e_prime": SEEDED_TESTS,
+    "fibquat._basis_norms": SEEDED_TESTS,
+    "fibquat._certify": CERTIFY_TESTS,
+    "fibquat._growth_integers": CERTIFY_TESTS,
+    "exactnum._sign_z5": [
+        "tests/test_exactnum.py", "tests/test_fibquat.py", "tests/test_threshold_ladder.py",
+    ],
+    "exactnum._decimal": TEXT_TESTS,
+    "exactnum.parse_rat": TEXT_TESTS,
+    "cli._normalize_argv": ["tests/test_cli.py"],
+    "fib._window": ["tests/test_fib.py", "tests/test_fibquat.py"],
     "quat._product": PRODUCT_TESTS,
     "quat._pair_loop": PRODUCT_TESTS,
+    "quat._packed_rows": PRODUCT_TESTS,
+    "quat._left_step": PRODUCT_TESTS,
+    "quat._left_masks": PRODUCT_TESTS,
+    "quat._reorder_parity": PRODUCT_TESTS,
+    "quat._integer_form": ELEMENT_TESTS,
+    "quat._Element._reduced": ELEMENT_TESTS,
+    "quat._Element._combine": ELEMENT_TESTS,
+    "quat._Element._times": ELEMENT_TESTS,
+    "quat.Quaternion.norm": ELEMENT_TESTS,
+    "quat.Quaternion.inverse": ELEMENT_TESTS,
+    "quat.scale_isomorphism": SCALING_TESTS,
+    "quat._basis_multiple": SCALING_TESTS,
+    "quat.zero_divisor_witness": ["tests/test_quat.py", "-k", "witness or zero_divisor"],
 }
 
 #: seconds one mutant's tests may take before it counts as killed
 TIMEOUT = 60
 
-_CLASS = "clifford_class = CliffordClass.DIVISION if sign < 0 else CliffordClass.SPLIT"
-_PRE = "and abs(xs[0][1] * ys[0][1]) < 1 << 63  # one term, to turn wide ones away fast"
+def _recorded(
+    target: str, line: str, changes: list[tuple[str, str]], why: str
+) -> dict[tuple[str, str, str], str]:
+    """``SURVIVORS`` entries for the mutants of ``line`` that replace the
+    first ``old`` by ``new``, for each pair in ``changes``, all equivalent
+    for the reason ``why``."""
+    return {(target, line, line.replace(old, new, 1)): why for old, new in changes}
+
 
 #: (target, original line, mutated line) -> why the mutant is equivalent
 SURVIVORS: dict[tuple[str, str, str], str] = {
-    **{
-        ("clifford.classify", _CLASS, _CLASS.replace("sign < 0", weaker)): (
-            "the limit sign is -1 or 1: _certify raises before it could be 0"
-        )
-        for weaker in ("sign <= 0", "sign < 1")
-    },
-    ("quat._product", "len(xs) * len(ys) > 8 * dim", "len(xs) * len(ys) > 9 * dim"): (
-        "it only moves pairs from packed rows to the pair loop, and both give the same slots"
+    **_recorded(
+        "clifford.classify",
+        "clifford_class = CliffordClass.DIVISION if sign < 0 else CliffordClass.SPLIT",
+        [("sign < 0", "sign <= 0"), ("sign < 0", "sign < 1")],
+        "the limit sign is -1 or 1: _certify raises before it could be 0",
     ),
-    **{
-        ("quat._product", _PRE, _PRE.replace(old, new)): (
-            "a conjunct of the admission rule, like the full 63-bit bound below it, which "
-            "alone keeps packed rows exact: a changed pre-test can only send a pair to the "
-            "pair loop instead, which gives the same slots (len(xs), len(ys) >= 9 here)"
-        )
-        for old, new in (
-            ("xs[0][1] *", "xs[1][1] *"),
-            ("* ys[0][1]", "* ys[1][1]"),
-            ("xs[0][1] * ys[0][1]", "xs[0][1] + ys[0][1]"),
-            ("< 1 << 63", "<= 1 << 63"),
-            ("< 1 << 63", "< 2 << 63"),
-            ("< 1 << 63", "< 1 << 64"),
-        )
-    },
+    **_recorded(
+        "quat._product", "len(xs) * len(ys) > 8 * dim", [("8", "9")],
+        "it only moves pairs from packed rows to the pair loop, and both give the same slots",
+    ),
+    **_recorded(
+        "fibquat._certify",
+        "bits = max(bx.bit_length(), by.bit_length()) + max(gx.bit_length(), gy.bit_length()) + 4",
+        [("+ 4", "- 4"), ("+ 4", "+ 5")],
+        "a correct search never reaches the bound: every failing index is below N <= bits, "
+        "and the gallop raises only at a failing index 2^k - 1 with k > bits.bit_length(), "
+        "at least 2*bits + 1, or for bits - 4 at least 2*(bits - 3) - 1 >= bits (bits >= 7; "
+        "7 for bits = 6, the least there is); only a faulty sign test gets there, and "
+        "test_sign_fault_stops_at_the_horizon_bound checks that the bound fires",
+    ),
+    **_recorded(
+        "fibquat._certify", "if k > top:", [(">", ">=")],
+        "a correct search never reaches the bound: every failing index is below N <= bits, "
+        "and with k >= top the gallop raises only at a failing index 2^top - 1 >= bits",
+    ),
+    **_recorded(
+        "fibquat._certify", "if limit_sign < 0:", [("< 0", "<= 0"), ("< 0", "< 1")],
+        "the limit sign is -1 or 1: the zero check above raises before it could be 0",
+    ),
+    **_recorded(
+        "fibquat._certify", "for m in range(horizon + 1):", [("+ 1", "+ 2")],
+        "the extra index is past the horizon, where v(m) has the limit sign, so n' stays",
+    ),
+    **_recorded(
+        "exactnum._sign_z5", "return sx if x * x > 5 * y * y else -sx", [(">", ">=")],
+        "x^2 = 5y^2 has no solution in nonzero integers, and x, y != 0 here",
+    ),
+    **_recorded(
+        "exactnum._decimal", "if n.bit_length() < 1990:", [("<", "<="), ("1990", "1991")],
+        "it only sends n of 1990 bits to str(n) instead of the split; both give the same "
+        "digits, and 1990 bits is 600 digits, below CPython's least digit limit of 640",
+    ),
+    **_recorded(
+        "exactnum._decimal",
+        "low_digits = n.bit_length() * 3 // 20  # about half of n's digits",
+        [("3 //", "4 //"), ("// 20", "// 21")],
+        "any split 0 < low_digits < the digit count of n gives the same digits, as zfill "
+        "pads the low piece, and for n of 1990 bits or more both are such splits",
+    ),
+    **_recorded(
+        "quat._basis_multiple", "g = gcd(p, q) if q > 0 else -gcd(p, q)", [(">", ">=")],
+        "q != 0: it is a nonzero scale's numerator",
+    ),
+    **_recorded(
+        "quat.zero_divisor_witness",
+        "if square > 0 and (r := isqrt(square)) * r == square:",
+        [(">", ">=")],
+        "square = -c_k*c0 is never 0: c0 = d1*d2 > 0, and c_k != 0 as b1, b2 != 0",
+    ),
+    **_recorded(
+        "quat.zero_divisor_witness",
+        "for x1, x2, x3, x4 in product(range(height, -1, -1), repeat=4):",
+        [("-1,", "-2,")],
+        "the norm is even in each coordinate, so a zero with a coordinate -1 has the zero "
+        "|v| of the same height, which the descending scan meets first",
+    ),
+    **_recorded(
+        "quat._left_step",
+        "masks = _left_masks if dim <= _MEMO_DIM else _left_masks.__wrapped__",
+        [("<=", "<")],
+        "it only sends dim = _MEMO_DIM past the cache, to the same function",
+    ),
+    **_recorded(
+        "quat._left_step",
+        "flip, low, shift, high_offsets, low_offsets, owed_up, owed_down = masks(k, dim, n < 0)",
+        [("n < 0", "n <= 0"), ("n < 0", "n < 1")],
+        "n is the numerator of a nonzero square, so n <= 0 and n < 1 hold iff n < 0",
+    ),
+    **_recorded(
+        "quat._packed_rows", "m = max(n // 2, n - 6)", [("// 2", "// 3"), ("- 6", "- 7")],
+        "any split 0 <= m <= n gives the same slots; m only trades rows held for left steps",
+    ),
+    **_recorded(
+        "quat._packed_rows", "k = (h & -h).bit_length() - 1", [("&", "|")],
+        "h | -h = -(h & -h), which has the same bit length",
+    ),
+    **_recorded(
+        "quat._packed_rows", "hs: list[list[int]] = [[] for _ in range(1 << m)]",
+        [("1 << m", "2 << m")], "only the lists of the low parts l < 2^m are read",
+    ),
+    **_recorded(
+        "quat._packed_rows", "cs: list[list[int]] = [[] for _ in range(1 << m)]",
+        [("1 << m", "2 << m")], "only the lists of the low parts l < 2^m are read",
+    ),
 }
 
 _BINARY = {
@@ -128,6 +232,21 @@ class Mutant:
 
     def key(self, lines: list[str]) -> tuple[str, str, str]:
         return self.target, lines[self.line - 1].strip(), self.apply(lines)[self.line - 1].strip()
+
+
+def _unmutated(node: ast.AST) -> list[ast.AST]:
+    """The parts of ``node`` that no mutant changes: an f-string, which is one
+    token, and annotations, which are never evaluated (the package's modules
+    import ``annotations`` from ``__future__``)."""
+    if isinstance(node, ast.JoinedStr):
+        return [node]
+    if isinstance(node, ast.AnnAssign):
+        return [node.annotation]
+    if isinstance(node, ast.arg):
+        return [node.annotation] if node.annotation else []
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return [node.returns] if node.returns else []
+    return []
 
 
 def _find(tree: ast.Module, qualname: str) -> ast.FunctionDef:
@@ -181,16 +300,16 @@ def mutants(target: str) -> tuple[Path, list[str], list[Mutant]]:
 
     docstring = ast.get_docstring(function, clean=False) is not None
     statements = function.body[docstring:]
-    # f-strings are one token each, so nothing inside one is mutated
-    formatted = {
+    skipped = {
         id(inner)
         for statement in statements
-        for node in ast.walk(statement) if isinstance(node, ast.JoinedStr)
-        for inner in ast.walk(node)
+        for node in ast.walk(statement)
+        for part in _unmutated(node)
+        for inner in ast.walk(part)
     }
     for statement in statements:
         for node in ast.walk(statement):
-            if id(node) in formatted:
+            if id(node) in skipped:
                 continue
             if isinstance(node, (ast.BinOp, ast.AugAssign)):
                 left = node.left if isinstance(node, ast.BinOp) else node.target

@@ -153,6 +153,13 @@ def test_domain_errors_name_their_inputs():
         blade_product(-1, 0, form)
     with pytest.raises(ValueError, match=r"^blade mask 7 out of range for rank 2$"):
         CliffordElement.blade(form, 7)
+    # each mask at both ends of its range, the other one in range or not:
+    # the message names the first mask out of range
+    for mask_a, mask_b, bad in (
+        (4, 0, 4), (0, 4, 4), (3, 4, 4), (4, 3, 4), (0, -1, -1), (4, -1, 4), (-1, 4, -1),
+    ):
+        with pytest.raises(ValueError, match=rf"^blade mask {bad} out of range for rank 2$"):
+            blade_product(mask_a, mask_b, form)
     for mask in (-1, -6):
         with pytest.raises(ValueError, match=rf"^blade mask {mask} is negative$"):
             blade_name(mask)

@@ -343,6 +343,23 @@ def test_certificates_at_horizon_search_edges_match_reference():
     assert_horizon_edges_match_reference()
 
 
+@pytest.mark.parametrize(
+    "b1,b2,seeds,horizon",
+    [
+        (Fraction(-1, 4), Fraction(2, 3), (19, 2), 2),
+        (Fraction(-17, 2), Fraction(18), (29, -9), 0),
+        (Fraction(-1), Fraction(7, 4), (24, 5), 0),
+    ],
+)
+def test_cross_term_weight_decides_these_horizons(b1, b2, seeds, horizon):
+    """Seeded certificates whose horizon sits at the edge that the bounded
+    side's cross term 2|S0 * cross|, scaled to 32|z * cross|, sets: a weight
+    of 33 there gives horizons 3, 1 and 1."""
+    cert = horadam_invertibility_threshold(AlgebraParams(b1, b2), *seeds)
+    assert cert.horizon == horizon
+    assert (cert.n_prime, cert.horizon, cert.limit_sign) == reference_certificate(b1, b2, *seeds)
+
+
 # ladder k -> sign tests per certificate, on each side of E = 0: the limit and
 # bounded signs, the test at index 0, then one per gallop or lifting step (27
 # steps at the literal cap, horizon 9,566)

@@ -170,12 +170,12 @@ def test_norm_sequence_obeys_the_certificate_recurrence_everywhere():
 
 
 def _replace_everywhere(monkeypatch, original, replacement) -> None:
-    """Rebind every fibclifford module attribute bound to ``original``."""
-    for name, module in list(sys.modules.items()):
-        if name == "fibclifford" or name.startswith("fibclifford."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, replacement)
+    """Rebind every loaded module's attribute bound to ``original``: the
+    package's own modules and each test module that imported the name."""
+    for module in list(sys.modules.values()):
+        for attr, value in list(getattr(module, "__dict__", {}).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, replacement)
 
 
 def _mutate(monkeypatch, owner, name: str, old: str, new: str) -> None:
@@ -443,6 +443,20 @@ def test_broken_classify_fails_the_report_check(monkeypatch, old, new):
     _mutate(monkeypatch, clifford, "classify", old, new)
     with pytest.raises(AssertionError):
         check_reports(2000, seed=22)
+
+
+def test_injected_fault_reaches_names_that_tests_imported(monkeypatch):
+    """``test_fibquat`` imports ``classify`` by name; a fault injected into
+    ``clifford.classify`` reaches that name, and its reference check fails."""
+    original = clifford.classify
+    _mutate(
+        monkeypatch, clifford, "classify",
+        "seeded_discriminant = _e_prime(growth, pair)",
+        "seeded_discriminant = -_e_prime(growth, pair)",
+    )
+    assert test_fibquat.classify is clifford.classify is not original
+    with pytest.raises(AssertionError):
+        assert_seeded_discriminant_matches_reference(quat.AlgebraParams(-2, -3), 3, -7)
 
 
 def test_broken_norm_walk_fails_the_reference_check(monkeypatch):

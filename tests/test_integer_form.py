@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd, prod
 
 from fibclifford.clifford import CliffordElement, DiagonalForm
-from fibclifford.quat import AlgebraParams, Quaternion
+from fibclifford.quat import AlgebraParams, Quaternion, scale_isomorphism
 from oracles import clifford_product_coeffs
 
 #: Products whose operands have more pairs of nonzero blades than this are
@@ -113,6 +113,21 @@ def check_integer_form(cases: int, seed: int) -> None:
 
 def test_every_operation_keeps_the_integer_form_and_matches_fractions():
     check_integer_form(1000, seed=21)
+
+
+def test_scaling_images_are_canonical_for_scales_of_either_sign():
+    """The images 1, e2/x, e3/y and e4/(xy) of ``scale_isomorphism``, on 200
+    random algebras and scales with x < 0 or y < 0 in three cases of four,
+    each hold their coefficient over a positive denominator."""
+    rng = random.Random(23)
+    for _ in range(200):
+        params = AlgebraParams(_nonzero(rng), _nonzero(rng))
+        x, y = _nonzero(rng), _nonzero(rng)
+        _, mapping = scale_isomorphism(params, x, y)
+        for k, scale in enumerate((1, 1 / x, 1 / y, 1 / (x * y))):
+            coeffs = [0, 0, 0, 0]
+            coeffs[k] = Fraction(scale)
+            assert_holds(mapping.images[k], coeffs)
 
 
 def test_zero_and_units_are_canonical_whatever_the_route():

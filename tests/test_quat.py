@@ -236,6 +236,18 @@ def test_witness_search_matches_reference_at_height_3(params):
 
 
 @pytest.mark.parametrize(
+    "t,b2",
+    [(1, 2), (Fraction(2, 3), -3), (Fraction(-5, 2), Fraction(7, 3)), (3, Fraction(-1, 6))],
+)
+def test_witness_when_minus_b1_over_b2_is_a_square(t, b2):
+    """b1 = -t^2 * b2, neither -b1 nor -b2 a square: -b1*b2 = (t*b2)^2 is,
+    so the witness is 1 + e4/|t*b2|, never e2 + t*e3."""
+    params = AlgebraParams(-t * t * b2, b2)
+    assert zero_divisor_witness(params).coeffs == (1, 0, 0, 1 / abs(t * b2))
+    assert_witness_matches_reference(params)
+
+
+@pytest.mark.parametrize(
     "params,coeffs",
     [(AlgebraParams(-2, -7), (-1, -2, -1, -1)), (AlgebraParams(-3, -6), (0, -2, -1, -1))],
 )
