@@ -300,22 +300,20 @@ def _reorder_parity(mask: int) -> int:
     return parity
 
 
-_Constants = tuple[tuple[tuple[int, int], ...], int, dict[int, int] | None]
+_Constants = tuple[tuple[tuple[int, int], ...], int, dict[int, int]]
 
 
 def _constants(algebra) -> _Constants:
     """``(parts, T, memo)`` for the products in ``algebra``, an
     ``AlgebraParams`` or a ``clifford.DiagonalForm``: the generator squares
     n_k/d_k as (n_k, d_k) pairs, T = prod d_k, and the memo of M(c) that
-    :func:`_pair_loop` fills, kept while ``dim <= _MEMO_DIM`` as the masks
-    of :func:`_left_masks` are, and None above.  Built on the algebra's
-    first product and kept in its ``_products`` field, so the constants
-    live and die with the algebra and no cache is keyed by value."""
+    :func:`_pair_loop` fills, at every rank.  Built on the algebra's first
+    product and kept in its ``_products`` field, so the constants live and
+    die with the algebra and no cache is keyed by value."""
     constants = algebra._products
     if constants is None:
         parts = algebra._parts()
-        memo = {} if 1 << len(parts) <= _MEMO_DIM else None
-        constants = parts, prod(d for _, d in parts), memo
+        constants = parts, prod(d for _, d in parts), {}
         object.__setattr__(algebra, "_products", constants)
     return constants
 
@@ -334,17 +332,18 @@ def _product(
     With T = prod d_k, the generators c common to two blades contract to
     M(c)/T, where M(c) = prod_{k in c} n_k * prod_{k not in c} d_k is an
     integer.  So every term of the numerators' product lands on an integer
-    slot, over the denominator dx*dy*T.  T, and each M(c) while
-    ``dim <= _MEMO_DIM``, are computed once per algebra, not per product.
+    slot, over the denominator dx*dy*T.  T and each M(c) are computed once
+    per algebra, not per product.
 
-    Two strategies fill the slots from the nonzero blades of x and y.  The
-    pair loop (:func:`_pair_loop`) takes one step per pair of them.  Packed
-    rows (:func:`_packed_rows`) take one multiply-add per blade of x and
-    about 2^(n/2 + 1) steps of a dozen big-int operations, all on ints of
-    64 bits per blade, and win unless y is sparse: with ``dim = 2^n``
-    blades they run when ``|x| * |y| > 8 * dim``, ``16 * |y| > dim`` and
+    Two strategies fill the slots.  The pair loop (:func:`_pair_loop`)
+    takes one step per pair of nonzero blades of x and y.  Packed rows
+    (:func:`_packed_rows`) read y's numerators as stored and take one
+    multiply-add per nonzero blade of x and about 2^(n/2 + 1) steps of a
+    dozen big-int operations, all on ints of 64 bits per blade, and win
+    unless y is sparse: with ``dim = 2^n`` blades they run when
+    ``|x| * |y| > 8 * dim``, ``16 * |y| > dim`` and
     ``sum|a| * max|b| * prod max(|n_k|, d_k)``, a bound on every slot and
-    on every field they form on the way, fits in 63 bits.  So quaternions,
+    on every row they decode on the way, fits in 63 bits.  So quaternions,
     blades, vectors and bivectors, and products with a sparse right operand
     or wide coefficients, stay on the pair loop.  Timed on CPython 3.11.7
     (2-vCPU VM) over supports of 1 to 2^n blades at ranks 3-9, the pairs
@@ -354,17 +353,18 @@ def _product(
     """
     parts, scale, memo = constants
     (xn, dx), (yn, dy) = x, y
-    xs, ys = list(compress(enumerate(xn), xn)), list(compress(enumerate(yn), yn))
+    xs = list(compress(enumerate(xn), xn))
     dim = 1 << len(parts)
+    count = dim - yn.count(0)
     if (
-        len(xs) * len(ys) > 8 * dim
-        and 16 * len(ys) > dim
-        and sum(abs(a) for _, a in xs) * max(abs(b) for _, b in ys)
+        len(xs) * count > 8 * dim
+        and 16 * count > dim
+        and sum(map(abs, xn)) * max(map(abs, yn))
         * prod(max(abs(n), d) for n, d in parts) < 1 << 63
     ):
-        acc = _packed_rows(parts, xs, ys)
+        acc = _packed_rows(parts, xs, yn)
     else:
-        acc = _pair_loop(parts, xs, ys, memo)
+        acc = _pair_loop(parts, xs, list(compress(enumerate(yn), yn)), memo)
     return acc, dx * dy * scale
 
 
@@ -372,14 +372,12 @@ def _pair_loop(
     parts: tuple[tuple[int, int], ...],
     xs: list[tuple[int, int]],
     ys: list[tuple[int, int]],
-    metric: dict[int, int] | None = None,
+    metric: dict[int, int],
 ) -> list[int]:
     """The integer slots of :func:`_product` for squares n_k/d_k = ``parts``,
-    one step per pair of nonzero blades, with M(c) memoised per c in
-    ``metric``: the algebra's memo from :func:`_constants`, which serves
-    every product in it, or a fresh one."""
-    if metric is None:
-        metric = {}
+    one step per pair of nonzero blades ``(index, numerator)``, with M(c)
+    memoised per c in ``metric``: the algebra's memo from
+    :func:`_constants`, which serves every product in it."""
     acc = [0] * (1 << len(parts))
     for i, a in xs:
         parity = _reorder_parity(i)
@@ -399,52 +397,57 @@ def _pair_loop(
 
 
 def _packed_rows(
-    parts: list[tuple[int, int]], xs: list[tuple[int, int]], ys: list[tuple[int, int]]
+    parts: list[tuple[int, int]], xs: list[tuple[int, int]], yn: tuple[int, ...]
 ) -> tuple[int, ...]:
     """The integer slots of :func:`_product` for squares n_k/d_k = ``parts``,
-    from packed rows; every slot must stay below 2^63 in magnitude.
+    the nonzero blades ``xs`` of x and all the numerators ``yn`` of y, from
+    packed rows; every slot must stay below 2^63 in magnitude.
 
-    Slot t of a row is the 64-bit field t of one int, stored with the offset
-    2^63 so that every field is nonnegative.  The generators split into the
-    m = max(n // 2, n - 6) low ones and the n - m high ones, so blade i is
-    l | h with no sign between e_l and e_h, and
-    x*y = sum_l e_l * Z_l with Z_l = sum_h a_(l,h) * e_h * y, in two levels:
+    A row is the plain integer sum_t slot_t * 2^(64t) of its signed slots.
+    The generators split into the m = max(n // 2, n - 6) low ones and the
+    n - m high ones, so blade i is l | h with no sign between e_l and e_h,
+    and x*y = sum_l e_l * Z_l with Z_l = sum_h a_(l,h) * e_h * y, in two
+    levels:
 
     - Row h holds e_h * y scaled by prod_{k in h} d_k.  It comes from the
       row of h minus its lowest generator k, because e_h = e_k * e_h'
-      (:func:`_left_step`).  Only the rows of high parts in ``xs``, and
-      their ancestors, are built, and all of them are held: at most 64,
-      since past rank 12 the 2^n multiply-adds below cost far more than
-      the extra left steps of a larger m.
+      (``left``).  Only the rows of high parts in ``xs``, and their
+      ancestors, are built, each once: at most 64, since past rank 12 the
+      2^n multiply-adds below cost far more than the extra left steps of a
+      larger m.
     - Z_l is the sum of a * prod_{k high, not in h} d_k * row_h.  The low
       generators apply by a Horner pass from generator m - 1 down to 0,
       W = d_k * W_without_k + g_k * d_k * W_with_k, depth first, so it
       holds one pending sum per generator and builds each Z_l at its leaf.
 
     So about 2^(n-m) + 2^m full-width left steps serve the 2^n blades of x,
-    and every term ends up scaled by T = prod d_k.  Every field on the way
-    is a signed sum of terms a_i * b_j * F, at most one for each blade i of
-    x, where F multiplies n_k or d_k over some of the generators, so the
-    bound ``sum|a| * max|b| * prod max(|n_k|, d_k)`` on which
-    :func:`_product` admits the pair covers every field too.  One
-    ``to_bytes`` and one ``struct.unpack``, both little-endian whatever the
-    host's byte order, split the fields of the last W.
+    and every term ends up scaled by T = prod d_k.  ``left`` multiplies a
+    row by g_k * d_k: it adds the offset 2^63 to every field, which makes
+    each field nonnegative, so that masks can split the fields
+    (:func:`_left_masks`), and the correction ``up * d + down * |n|``
+    takes the offsets out again.  Every field it splits, and every slot
+    of the result, is a signed sum of terms a_i * b_j * F, at most one for
+    each blade i of x, where F multiplies n_k or d_k over some of the
+    generators, so the bound ``sum|a| * max|b| * prod max(|n_k|, d_k)`` on
+    which :func:`_product` admits the pair keeps each of them below 2^63.
+    One ``to_bytes`` and one ``struct.unpack``, both little-endian whatever
+    the host's byte order, split the fields of the last W.
     """
     n = len(parts)
     dim = 1 << n
     m = max(n // 2, n - 6)
     offsets = int.from_bytes(b"\0\0\0\0\0\0\0\x80" * dim, "little")
-    dense = [0] * dim
-    for j, b in ys:
-        dense[j] = b
+    masks = _left_masks if dim <= _MEMO_DIM else _left_masks.__wrapped__
     steps: list[tuple[int, ...] | None] = [None] * n
 
     def left(k: int, row: int) -> int:
         step = steps[k]
         if step is None:
-            step = steps[k] = _left_step(k, dim, *parts[k])
+            num, d = parts[k]
+            flip, low, shift, up, down = masks(k, dim, num < 0)
+            step = steps[k] = flip, low, shift, abs(num), d, up * d + down * abs(num)
         flip, low, shift, mag, d, correction = step
-        row ^= flip
+        row = (row + offsets) ^ flip
         half = row & low
         return (half << shift) * d + ((row ^ half) >> shift) * mag - correction
 
@@ -456,7 +459,7 @@ def _packed_rows(
         k = h.bit_length() - 1
         scales[h] = scales[h ^ 1 << k] // parts[m + k][1]
     rows: list[int | None] = [None] * high
-    rows[0] = int.from_bytes(struct.pack(f"<{dim}q", *dense), "little") ^ offsets
+    rows[0] = (int.from_bytes(struct.pack(f"<{dim}q", *yn), "little") ^ offsets) - offsets
 
     def row(h: int) -> int:
         if rows[h] is None:
@@ -472,48 +475,17 @@ def _packed_rows(
         l, h = i & (1 << m) - 1, i >> m
         hs[l].append(h)
         cs[l].append(a * scales[h])
-    for h in {i >> m for i, _ in xs}:
-        row(h)
 
-    def fold(k: int, l: int) -> int | None:
-        """sum_l' e_l' * Z_(l | l'), offset, over the blades l' of the low
-        generators k..m - 1, scaled by their d's; None if it is empty."""
+    def fold(k: int, l: int) -> int:
+        """sum_l' e_l' * Z_(l | l') over the blades l' of the low generators
+        k..m - 1, scaled by their d's."""
         if k == m:
-            if not cs[l]:
-                return None
-            weight = sum(cs[l])
-            return sum(map(mul, cs[l], map(rows.__getitem__, hs[l]))) - offsets * (weight - 1)
+            return sum(map(mul, cs[l], map(row, hs[l])))
         without, with_ = fold(k + 1, l), fold(k + 1, l | 1 << k)
-        d = parts[k][1]
-        if with_ is None:
-            return without if without is None or d == 1 else without * d - offsets * (d - 1)
-        with_ = left(k, with_)
-        return with_ if without is None else (without - offsets) * d + with_
+        return without * parts[k][1] + (with_ and left(k, with_))
 
-    fields = (fold(0, 0) ^ offsets).to_bytes(8 * dim, "little")
+    fields = ((fold(0, 0) + offsets) ^ offsets).to_bytes(8 * dim, "little")
     return struct.unpack(f"<{dim}q", fields)
-
-
-def _left_step(k: int, dim: int, n: int, d: int) -> tuple[int, ...]:
-    """What multiplies a packed row by g_k, with g_k^2 = n/d, on the left:
-    ``(flip, low, shift, |n|, d, correction)``.
-
-    g_k * e_m = (-1)^popcount(m & (2^k - 1)) * e_{m ^ 2^k}, times n/d when m
-    holds k.  So the XOR with ``flip`` turns each field r of odd sign (and,
-    when n < 0, of m holding k) into -r - 1; ``low`` selects the fields
-    without k, which move up by ``shift`` bits and scale by d, while the
-    others move down and scale by |n|; and ``correction`` restores the
-    offsets and the ones that the XOR left out.  The masks depend only on
-    k, ``dim`` and the sign of n (:func:`_left_masks`); the correction
-    weighs four of them by |n| and d.
-    """
-    masks = _left_masks if dim <= _MEMO_DIM else _left_masks.__wrapped__
-    flip, low, shift, high_offsets, low_offsets, owed_up, owed_down = masks(k, dim, n < 0)
-    mag = abs(n)
-    correction = (
-        high_offsets * (d - 1) + low_offsets * (mag - 1) - owed_up * d - owed_down * mag
-    )
-    return flip, low, shift, mag, d, correction
 
 
 #: Largest ``dim`` whose masks :func:`_left_masks` keeps: about 1.8 MB for
@@ -523,9 +495,19 @@ _MEMO_DIM = 1 << 10
 
 @lru_cache(maxsize=None)
 def _left_masks(k: int, dim: int, negative: bool) -> tuple[int, ...]:
-    """``(flip, low, shift, high_offsets, low_offsets, owed_up, owed_down)``
-    of :func:`_left_step`: the offsets of the fields that scale by d and by
-    |n|, and the ones owed to the fields that move up and down."""
+    """``(flip, low, shift, up, down)``, what multiplies a row of
+    :func:`_packed_rows` by g_k * d_k, with g_k^2 = n/d, on the left, for
+    ``dim`` fields and n < 0 when ``negative``.
+
+    g_k * e_t = (-1)^popcount(t & (2^k - 1)) * e_{t ^ 2^k}, times n/d when
+    t holds k.  With each field r offset to r + 2^63, the XOR with ``flip``
+    turns each field of odd sign (and, when n < 0, of t holding k) into
+    -r - 1; ``low`` selects the fields without k, which move up by
+    ``shift`` bits and scale by d, while the others move down and scale by
+    |n|.  ``up`` and ``down`` are the offsets of the fields that scale by
+    d and by |n|, less the ones that the XOR left out of the fields that
+    move up and down: ``up * d + down * |n|`` takes both out of the
+    result."""
     offsets = int.from_bytes(b"\0\0\0\0\0\0\0\x80" * dim, "little")
     block = 8 << k
     low = int.from_bytes((b"\xff" * block + bytes(block)) * (dim >> k + 1), "little")
@@ -539,10 +521,9 @@ def _left_masks(k: int, dim: int, negative: bool) -> tuple[int, ...]:
     low_offsets = offsets & low
     owed = (flip & offsets) >> 63
     low_owed = owed & low
-    return (
-        flip, low, shift, offsets ^ low_offsets, low_offsets,
-        low_owed << shift, (owed ^ low_owed) >> shift,
-    )
+    up = (offsets ^ low_offsets) - (low_owed << shift)
+    down = low_offsets - ((owed ^ low_owed) >> shift)
+    return flip, low, shift, up, down
 
 
 def is_division_algebra(params: AlgebraParams) -> bool:

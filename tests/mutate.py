@@ -14,12 +14,16 @@ the module's text, never in ``ast.unparse`` output, so every other line
 reads exactly as committed.
 
 Each mutant runs the target's tests (``TESTS``; the whole suite for a
-target not listed there) with ``pytest -x`` in a fresh copy of ``src/``
-and ``tests/`` under a temporary directory, with a fixed hypothesis seed
-and no shrinking, and is killed when they fail or run past ``TIMEOUT``
-seconds.  A mutant that passes survives.  Each
-survivor that ``SURVIVORS`` records is equivalent to the original, for
-the reason given there; with ``--check`` the run exits 1 on any other.
+target not listed there) with ``pytest -x`` in a fresh copy of ``src/``,
+``tests/``, ``pyproject.toml`` and ``README.md`` under a temporary
+directory, with a fixed hypothesis seed and no shrinking, and is killed
+when they fail or run past ``TIMEOUT`` seconds.  A mutant that passes
+survives.  Each survivor that ``SURVIVORS`` records is equivalent to the
+original, for the reason given there; with ``--check`` the run exits 1 on
+any other.  A record names its line by text and by occurrence among the
+target's lines of that text, so identical lines keep separate records.
+Before any test runs, every run exits 2 if a record names no mutant that
+the harness generates, as after the line it names was rewritten.
 
 The file is not named ``test_*``, so pytest does not collect it.
 """
@@ -48,6 +52,11 @@ PRODUCT_TESTS = ["tests/test_clifford.py", "tests/test_integer_form.py"]
 ELEMENT_TESTS = ["tests/test_integer_form.py", "tests/test_quat.py"]
 SCALING_TESTS = [*ELEMENT_TESTS, "tests/test_identity_proofs.py", "-k", "scal"]
 TEXT_TESTS = ["tests/test_exactnum.py", "tests/test_cli.py"]
+# the packed-rows tests alone: direct calls against the pair loop, the
+# admission rule on both sides and the 63-bit bound
+PACKED_TESTS = [
+    "tests/test_clifford.py", "-k", "packed_rows_match or takes_packed or bound or rank9",
+]
 
 #: the tests each target's mutants run
 TESTS = {
@@ -67,9 +76,9 @@ TESTS = {
     "fib._window": ["tests/test_fib.py", "tests/test_fibquat.py"],
     "quat._product": PRODUCT_TESTS,
     "quat._pair_loop": PRODUCT_TESTS,
-    "quat._packed_rows": PRODUCT_TESTS,
-    "quat._left_step": PRODUCT_TESTS,
-    "quat._left_masks": PRODUCT_TESTS,
+    "quat._packed_rows": PACKED_TESTS,
+    "quat._left_masks": PACKED_TESTS,
+    "quat._constants": ["tests/test_integer_form.py", "-k", "constants or memo"],
     "quat._reorder_parity": PRODUCT_TESTS,
     "quat._integer_form": ELEMENT_TESTS,
     "quat._Element._reduced": ELEMENT_TESTS,
@@ -85,17 +94,22 @@ TESTS = {
 #: seconds one mutant's tests may take before it counts as killed
 TIMEOUT = 60
 
+Key = tuple[str, str, int, str]
+
+
 def _recorded(
-    target: str, line: str, changes: list[tuple[str, str]], why: str
-) -> dict[tuple[str, str, str], str]:
-    """``SURVIVORS`` entries for the mutants of ``line`` that replace the
-    first ``old`` by ``new``, for each pair in ``changes``, all equivalent
-    for the reason ``why``."""
-    return {(target, line, line.replace(old, new, 1)): why for old, new in changes}
+    target: str, line: str, changes: list[tuple[str, str]], why: str, occurrence: int = 0
+) -> dict[Key, str]:
+    """``SURVIVORS`` entries for the mutants of ``line``, the target's line
+    of that text numbered ``occurrence`` from 0, that replace the first
+    ``old`` by ``new``, for each pair in ``changes``, all equivalent for
+    the reason ``why``."""
+    return {(target, line, occurrence, line.replace(old, new, 1)): why for old, new in changes}
 
 
-#: (target, original line, mutated line) -> why the mutant is equivalent
-SURVIVORS: dict[tuple[str, str, str], str] = {
+#: (target, original line, its occurrence, mutated line) -> why the mutant
+#: is equivalent
+SURVIVORS: dict[Key, str] = {
     **_recorded(
         "clifford.classify",
         "clifford_class = CliffordClass.DIVISION if sign < 0 else CliffordClass.SPLIT",
@@ -103,7 +117,7 @@ SURVIVORS: dict[tuple[str, str, str], str] = {
         "the limit sign is -1 or 1: _certify raises before it could be 0",
     ),
     **_recorded(
-        "quat._product", "len(xs) * len(ys) > 8 * dim", [("8", "9")],
+        "quat._product", "len(xs) * count > 8 * dim", [("8", "9")],
         "it only moves pairs from packed rows to the pair loop, and both give the same slots",
     ),
     **_recorded(
@@ -163,16 +177,16 @@ SURVIVORS: dict[tuple[str, str, str], str] = {
         "|v| of the same height, which the descending scan meets first",
     ),
     **_recorded(
-        "quat._left_step",
+        "quat._packed_rows",
         "masks = _left_masks if dim <= _MEMO_DIM else _left_masks.__wrapped__",
         [("<=", "<")],
         "it only sends dim = _MEMO_DIM past the cache, to the same function",
     ),
     **_recorded(
-        "quat._left_step",
-        "flip, low, shift, high_offsets, low_offsets, owed_up, owed_down = masks(k, dim, n < 0)",
-        [("n < 0", "n <= 0"), ("n < 0", "n < 1")],
-        "n is the numerator of a nonzero square, so n <= 0 and n < 1 hold iff n < 0",
+        "quat._packed_rows",
+        "flip, low, shift, up, down = masks(k, dim, num < 0)",
+        [("num < 0", "num <= 0"), ("num < 0", "num < 1")],
+        "num is the numerator of a nonzero square, so num <= 0 and num < 1 hold iff num < 0",
     ),
     **_recorded(
         "quat._packed_rows", "m = max(n // 2, n - 6)", [("// 2", "// 3"), ("- 6", "- 7")],
@@ -220,6 +234,7 @@ _BOOLEAN = {ast.And: [("and", "or")], ast.Or: [("or", "and")]}
 class Mutant:
     target: str
     line: int  # 1-based, in the module
+    occurrence: int  # of the line's text among the target's lines, from 0
     start: int  # character columns of the span on that line
     end: int
     new: str
@@ -230,8 +245,9 @@ class Mutant:
         mutated[self.line - 1] = text[: self.start] + self.new + text[self.end :]
         return mutated
 
-    def key(self, lines: list[str]) -> tuple[str, str, str]:
-        return self.target, lines[self.line - 1].strip(), self.apply(lines)[self.line - 1].strip()
+    def key(self, lines: list[str]) -> Key:
+        text = lines[self.line - 1].strip()
+        return self.target, text, self.occurrence, self.apply(lines)[self.line - 1].strip()
 
 
 def _unmutated(node: ast.AST) -> list[ast.AST]:
@@ -260,13 +276,20 @@ def _find(tree: ast.Module, qualname: str) -> ast.FunctionDef:
     return node
 
 
-def mutants(target: str) -> tuple[Path, list[str], list[Mutant]]:
-    """The module file of ``target``, its lines, and the target's mutants."""
+def mutants(target: str, src: Path = SRC) -> tuple[Path, list[str], list[Mutant]]:
+    """The module file of ``target`` in the package under ``src``, its
+    lines, and the target's mutants."""
     module_name, qualname = target.split(".", 1)
-    path = SRC / "fibclifford" / f"{module_name}.py"
+    path = src / "fibclifford" / f"{module_name}.py"
     text = path.read_text()
     lines = text.splitlines(keepends=True)
     function = _find(ast.parse(text), qualname)
+    # occurrences[line]: how many lines of the target above it read the same
+    occurrences, seen = {}, {}
+    for number in range(function.lineno, function.end_lineno + 1):
+        stripped = lines[number - 1].strip()
+        occurrences[number] = seen.get(stripped, 0)
+        seen[stripped] = occurrences[number] + 1
     # operator tokens by position: ast gives the operands' spans, not the operators'
     tokens = [
         t for t in tokenize.generate_tokens(io.StringIO(text).readline)
@@ -296,7 +319,9 @@ def mutants(target: str) -> tuple[Path, list[str], list[Mutant]]:
     found: list[Mutant] = []
 
     def add(spans, new: str) -> None:
-        found.extend(Mutant(target, line, start, end, new) for line, start, end in spans)
+        found.extend(
+            Mutant(target, line, occurrences[line], start, end, new) for line, start, end in spans
+        )
 
     docstring = ast.get_docstring(function, clean=False) is not None
     statements = function.body[docstring:]
@@ -376,12 +401,26 @@ def run_tests(workdir: Path, tests: list[str], seed: int) -> str:
     return "passed" if result.returncode == 0 else "failed"
 
 
+def stale_records() -> list[Key]:
+    """The ``SURVIVORS`` keys that name no mutant of their target."""
+    generated = set()
+    for target in {key[0] for key in SURVIVORS}:
+        _, lines, found = mutants(target)
+        generated.update(mutant.key(lines) for mutant in found)
+    return [key for key in SURVIVORS if key not in generated]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("targets", nargs="+", metavar="TARGET")
     parser.add_argument("--hypothesis-seed", type=int, default=0)
     parser.add_argument("--check", action="store_true", help="exit 1 on an unrecorded survivor")
     args = parser.parse_args(argv)
+    stale = stale_records()
+    for target, line, occurrence, mutated in stale:
+        print(f"{target}: stale record: {line!r} (#{occurrence}) -> {mutated!r}", flush=True)
+    if stale:
+        return 2
     unexpected = 0
     with tempfile.TemporaryDirectory(prefix="mutate-") as tmp:
         workdir = Path(tmp)
@@ -389,6 +428,7 @@ def main(argv: list[str] | None = None) -> int:
         shutil.copytree(SRC, workdir / "src", ignore=ignore)
         shutil.copytree(ROOT / "tests", workdir / "tests", ignore=ignore)
         shutil.copy(ROOT / "pyproject.toml", workdir)
+        shutil.copy(ROOT / "README.md", workdir)
         for target in args.targets:
             tests = TESTS.get(target, ["tests"])
             path, lines, found = mutants(target)
@@ -405,11 +445,11 @@ def main(argv: list[str] | None = None) -> int:
                     known = key in SURVIVORS
                     unexpected += not known
                     label = "survived (recorded)" if known else "SURVIVED"
-                    print(f"{target}:{mutant.line}: {label}: {key[1]!r} -> {key[2]!r}", flush=True)
+                    print(f"{target}:{mutant.line}: {label}: {key[1]!r} -> {key[3]!r}", flush=True)
                 else:
                     killed += 1
                     if outcome == "timeout":
-                        print(f"{target}:{mutant.line}: timed out: {key[2]!r}", flush=True)
+                        print(f"{target}:{mutant.line}: timed out: {key[3]!r}", flush=True)
             copy.write_text("".join(lines))
             print(f"{target}: {killed} of {len(found)} mutants killed", flush=True)
     return 1 if args.check and unexpected else 0

@@ -153,6 +153,11 @@ def test_domain_errors_name_their_inputs():
         blade_product(-1, 0, form)
     with pytest.raises(ValueError, match=r"^blade mask 7 out of range for rank 2$"):
         CliffordElement.blade(form, 7)
+    with pytest.raises(ValueError, match=r"^need 4 blade coefficients, got 3$"):
+        CliffordElement(form, (1, 2, 3))
+    for i in (0, 3):
+        with pytest.raises(ValueError, match=rf"^generator index {i} out of range 1\.\.2$"):
+            CliffordElement.generator(form, i)
     # each mask at both ends of its range, the other one in range or not:
     # the message names the first mask out of range
     for mask_a, mask_b, bad in (
@@ -271,10 +276,9 @@ def packed_rows_product(x: CliffordElement, y: CliffordElement) -> CliffordEleme
     """``x * y`` from ``quat._packed_rows`` alone, whichever strategy
     ``quat._product`` picks for the pair."""
     xs = [(i, a) for i, a in enumerate(x.nums) if a]
-    ys = [(j, b) for j, b in enumerate(y.nums) if b]
     parts = [(s.numerator, s.denominator) for s in x.form.squares]
     den = x.den * y.den * prod(d for _, d in parts)
-    slots = quat._packed_rows(parts, xs, ys)
+    slots = quat._packed_rows(parts, xs, y.nums)
     return CliffordElement(x.form, tuple(Fraction(v, den) for v in slots))
 
 
@@ -344,6 +348,12 @@ def test_packed_rows_match_the_pair_loop(rank):
         masks = list(masks)
         return rng.sample(masks, min(len(masks), count))
 
+    def dense(ys: list[tuple[int, int]]) -> tuple[int, ...]:
+        nums = [0] * dim
+        for j, b in ys:
+            nums[j] = b
+        return tuple(nums)
+
     parts = [(s.numerator, s.denominator) for s in rng.choices(SMALL_SQUARES, k=rank)]
     ys = coeffs(range(dim))
     for xs in (
@@ -353,7 +363,9 @@ def test_packed_rows_match_the_pair_loop(rank):
         coeffs(range(dim)) if rank <= 10 else [],
     ):
         if xs:
-            assert quat._packed_rows(parts, xs, ys) == tuple(quat._pair_loop(parts, xs, ys))
+            assert quat._packed_rows(parts, xs, dense(ys)) == tuple(
+                quat._pair_loop(parts, xs, ys, {})
+            )
     if rank > 10:
         return
     units = tuple(Fraction(rng.choice((-1, 1))) for _ in range(rank))
@@ -364,8 +376,8 @@ def test_packed_rows_match_the_pair_loop(rank):
         # e_i * e_i = +-1, so every term a_i * b_i of slot 0 has the sign ``sign``
         ys = [(i, sign * b * (1 if a > 0 else -1) * int(blade_product_rewrite(i, i, units)[0]))
               for i, a in xs]
-        slots = quat._packed_rows(parts, xs, ys)
-        assert slots == tuple(quat._pair_loop(parts, xs, ys))
+        slots = quat._packed_rows(parts, xs, dense(ys))
+        assert slots == tuple(quat._pair_loop(parts, xs, ys, {}))
         assert 1 << 62 <= sign * slots[0] < 1 << 63
 
 

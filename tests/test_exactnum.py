@@ -66,6 +66,18 @@ def test_to_rat_rejects_inexact_and_textual_values(bad):
         lambda: FibSpaceVector(1.5, 1, 2),
         lambda: FibSpaceVector("2", 1, 2),
         lambda: format_rat(0.1),
+        # the operators reject a float operand as well
+        lambda: ALPHA + 1.5,
+        lambda: 1.5 - ALPHA,
+        lambda: ALPHA - 1.5,
+        lambda: ALPHA * 1.5,
+        lambda: ALPHA / 1.5,
+        lambda: 1.5 / ALPHA,
+        lambda: ALPHA**1.5,
+        lambda: ALPHA < 1.5,
+        lambda: FibSpaceVector(0, 1, 2) + 1.5,
+        lambda: FibSpaceVector(0, 1, 2) - 1.5,
+        lambda: 1.5 * FibSpaceVector(0, 1, 2),
     ],
     ids=[
         "form",
@@ -80,6 +92,17 @@ def test_to_rat_rejects_inexact_and_textual_values(bad):
         "vector-float-basepoint",
         "vector-text-basepoint",
         "format-rat",
+        "qsqrt5-add",
+        "qsqrt5-rsub",
+        "qsqrt5-sub",
+        "qsqrt5-mul",
+        "qsqrt5-div",
+        "qsqrt5-rdiv",
+        "qsqrt5-pow",
+        "qsqrt5-lt",
+        "vector-add",
+        "vector-sub",
+        "vector-rmul",
     ],
 )
 def test_constructors_reject_floats_strings_and_decimals(build):
@@ -269,14 +292,17 @@ def test_distributive(x, y, z):
 def test_additive_inverse(x):
     assert x + (-x) == ZERO
     assert x - x == ZERO
+    assert 0 - x == -x
 
 
 @given(elements)
 def test_multiplicative_inverse(x):
+    assert bool(x) is not x.is_zero()
     if x.is_zero():
         return
     assert x * x.inverse() == ONE
     assert x * (ONE / x) == ONE
+    assert Fraction(2, 3) / x == x.inverse() * Fraction(2, 3)
 
 
 @given(elements)
@@ -322,6 +348,7 @@ def test_negative_power_via_inverse():
 
 def test_comparisons():
     assert BETA < ZERO < ALPHA
+    assert (ALPHA == 1.5) is False and (ONE != 1.0) is True
     assert QSqrt5(2, 0) < SQRT5 < QSqrt5(Fraction(9, 4), 0)
     assert abs(BETA) == -BETA
 

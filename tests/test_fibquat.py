@@ -438,9 +438,22 @@ def test_rational_coordinates_map_to_fibonacci_combination(n, x1, x2):
     assert FibSpaceVector(n, x1, x2).to_quaternion(HALF) == f_n * x1 + f_n1 * x2
 
 
+def test_vector_arithmetic_is_coordinatewise_and_linear():
+    """Differences and rational multiples act on the coordinates, and the
+    coordinate map to quaternions commutes with both."""
+    v, w = FibSpaceVector(3, Fraction(1, 2), -2), FibSpaceVector(3, 1, 5)
+    assert v - w == FibSpaceVector(3, Fraction(-1, 2), -7)
+    assert Fraction(2, 3) * v == FibSpaceVector(3, Fraction(1, 3), Fraction(-4, 3))
+    assert -2 * v == FibSpaceVector(3, -1, 4)
+    combination = (Fraction(2, 3) * v - w).to_quaternion(HALF)
+    assert combination == v.to_quaternion(HALF) * Fraction(2, 3) - w.to_quaternion(HALF)
+
+
 def test_vector_basepoint_mismatch_rejected():
     with pytest.raises(ValueError):
         FibSpaceVector(0, 1, 0) + FibSpaceVector(1, 0, 1)
+    with pytest.raises(ValueError):
+        FibSpaceVector(0, 1, 0) - FibSpaceVector(1, 0, 1)
     with pytest.raises(ValueError):
         bilinear_form(FibSpaceVector(0, 1, 0), FibSpaceVector(2, 1, 0), H1M1)
     with pytest.raises(ValueError):
@@ -560,6 +573,10 @@ def test_form_entries_match_reference(n, params):
 def test_form_entry_errors_name_their_inputs():
     with pytest.raises(ValueError, match="^sequence index must be nonnegative, got -1$"):
         gram_matrix(-1, H1M1)
+    with pytest.raises(ValueError, match="^index must be nonnegative, got -1$"):
+        norm_closed_form(-1, H1M1)
+    with pytest.raises(ValueError, match="^index must be nonnegative, got -3$"):
+        horadam_norm_closed_form(-3, HALF, 2, 3)
     message = r"^degenerate at n=0 in H\(-1/2, -1/2\): diag\(0, 3/4\)$"
     with pytest.raises(DegenerateFormError, match=message):
         fibonacci_form(0, HALF)

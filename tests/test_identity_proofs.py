@@ -266,11 +266,11 @@ def test_broken_product_kernel_fails_the_reference_check(monkeypatch, old, new):
     [
         ("_left_masks", "flip ^= low << shift", "flip ^= 0"),
         ("_left_masks", "parity + inverse, inverse + parity", "parity + parity, inverse + inverse"),
-        ("_left_step", "low_offsets * (mag - 1)", "low_offsets * mag"),
+        ("_left_masks", "down = low_offsets - ((owed ^ low_owed) >> shift)", "down = low_offsets"),
         ("_packed_rows", "* d + ((row ^ half) >> shift) * mag", "* mag + ((row ^ half) >> shift) * d"),
         ("_packed_rows", "// parts[m + k][1]", "// 1"),
-        ("_packed_rows", "offsets * (weight - 1)", "offsets * weight"),
-        ("_packed_rows", "(without - offsets) * d + with_", "(without - offsets) + with_"),
+        ("_packed_rows", "row = (row + offsets) ^ flip", "row = row ^ flip"),
+        ("_packed_rows", "without * parts[k][1] + ", "without + "),
     ],
     ids=[
         "negative-square-unflipped",

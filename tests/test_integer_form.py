@@ -176,22 +176,22 @@ def test_product_constants_leave_the_algebra_values_alone():
 
 
 def test_products_through_a_warm_memo_equal_products_on_a_fresh_algebra():
-    """500 pairs, five per form of rank 0-8 with squares of both signs and
-    denominators up to 3: each product, taken again once the form's memo of
-    M(c) is warm, equals the product of the same coefficients on a fresh
-    form, and every memo entry is its product of n_k and d_k.  Quaternions
-    likewise, on one algebra per form."""
+    """510 pairs, five per form of rank 0-8 and sparse ones, about 20 blades
+    each, at ranks 11 and 12, with squares of both signs and denominators up
+    to 3: each product, taken again once the form's memo of M(c) is warm,
+    equals the product of the same coefficients on a fresh form, and every
+    memo entry is its product of n_k and d_k.  Quaternions likewise, on one
+    algebra per form."""
     rng = random.Random(22)
 
     def square() -> Fraction:
         return Fraction(rng.choice((-1, 1)) * rng.randint(1, 7), rng.randint(1, 3))
 
     def coeffs(dim: int) -> list[Fraction]:
-        density = rng.uniform(0.05, 1.0)
+        density = rng.uniform(0.05, 1.0) if dim <= 256 else 20 / dim
         return [_rational(rng) if rng.random() < density else 0 for _ in range(dim)]
 
-    for _ in range(100):
-        squares = tuple(square() for _ in range(rng.randint(0, 8)))
+    def check(squares: tuple[Fraction, ...]) -> None:
         params = AlgebraParams(square(), square())
         form = DiagonalForm(squares)
         pairs = [
@@ -213,5 +213,11 @@ def test_products_through_a_warm_memo_equal_products_on_a_fresh_algebra():
         for algebra in (form, params):
             parts, scale, memo = algebra._products
             assert scale == prod(d for _, d in parts)
+            assert memo or len(parts) <= 8
             for common, m in memo.items():
                 assert m == prod(n if common >> k & 1 else d for k, (n, d) in enumerate(parts))
+
+    for _ in range(100):
+        check(tuple(square() for _ in range(rng.randint(0, 8))))
+    for rank in (11, 12):
+        check(tuple(square() for _ in range(rank)))
