@@ -422,12 +422,12 @@ def _packed_rows(
 
     So about 2^(n-m) + 2^m full-width left steps serve the 2^n blades of x,
     and every term ends up scaled by T = prod d_k.  ``left`` multiplies a
-    row by g_k * d_k: it adds the offset 2^63 to every field, which makes
-    each field nonnegative, so that masks can split the fields
-    (:func:`_left_masks`), and the correction ``up * d + down * |n|``
-    takes the offsets out again.  Every field it splits, and every slot
-    of the result, is a signed sum of terms a_i * b_j * F, at most one for
-    each blade i of x, where F multiplies n_k or d_k over some of the
+    row by g_k * d_k: it offsets every field by 2^63 so that the masks of
+    :func:`_layout` can split them, scales the fields that move down by
+    the signed n and the others by d, and subtracts ``up * d + down * n``,
+    the offsets moved and scaled alike.  Every field it splits, and every
+    slot of the result, is a signed sum of terms a_i * b_j * F, at most one
+    for each blade i of x, where F multiplies n_k or d_k over some of the
     generators, so the bound ``sum|a| * max|b| * prod max(|n_k|, d_k)`` on
     which :func:`_product` admits the pair keeps each of them below 2^63.
     One ``to_bytes`` and one ``struct.unpack``, both little-endian whatever
@@ -436,20 +436,18 @@ def _packed_rows(
     n = len(parts)
     dim = 1 << n
     m = max(n // 2, n - 6)
-    offsets = int.from_bytes(b"\0\0\0\0\0\0\0\x80" * dim, "little")
-    masks = _left_masks if dim <= _MEMO_DIM else _left_masks.__wrapped__
-    steps: list[tuple[int, ...] | None] = [None] * n
+    offsets, masks = (_layout if dim <= _MEMO_DIM else _layout.__wrapped__)(dim)
+    steps = [
+        (flip, low, shift, num, d, up * d + down * num)
+        for (flip, low, shift, up, down), (num, d) in zip(masks, parts)
+    ]
+    del masks  # past _MEMO_DIM this frees up and down, 16 bytes a field per generator
 
     def left(k: int, row: int) -> int:
-        step = steps[k]
-        if step is None:
-            num, d = parts[k]
-            flip, low, shift, up, down = masks(k, dim, num < 0)
-            step = steps[k] = flip, low, shift, abs(num), d, up * d + down * abs(num)
-        flip, low, shift, mag, d, correction = step
+        flip, low, shift, num, d, correction = steps[k]
         row = (row + offsets) ^ flip
         half = row & low
-        return (half << shift) * d + ((row ^ half) >> shift) * mag - correction
+        return (half << shift) * d + ((row ^ half) >> shift) * num - correction
 
     high = 1 << n - m
     # scales[h]: prod of d_k over the high generators k not in h, from h
@@ -488,42 +486,40 @@ def _packed_rows(
     return struct.unpack(f"<{dim}q", fields)
 
 
-#: Largest ``dim`` whose masks :func:`_left_masks` keeps: about 1.8 MB for
-#: every k, sign and dim up to it; one mask at rank 16 alone takes 512 KB.
+#: Largest ``dim`` whose layout :func:`_layout` keeps: 0.58 MiB for every
+#: dim up to it (``tracemalloc``); one mask at rank 16 alone takes 512 KiB.
 _MEMO_DIM = 1 << 10
 
 
 @lru_cache(maxsize=None)
-def _left_masks(k: int, dim: int, negative: bool) -> tuple[int, ...]:
-    """``(flip, low, shift, up, down)``, what multiplies a row of
-    :func:`_packed_rows` by g_k * d_k, with g_k^2 = n/d, on the left, for
-    ``dim`` fields and n < 0 when ``negative``.
+def _layout(dim: int) -> tuple[int, tuple[tuple[int, int, int, int, int], ...]]:
+    """``(offsets, masks)`` for rows of :func:`_packed_rows` with ``dim``
+    fields: 2^63 in every field, and per generator k the masks
+    ``(flip, low, shift, up, down)`` of the left step by g_k * d_k, which
+    depend on the layout alone, not on g_k^2 = n/d.
 
     g_k * e_t = (-1)^popcount(t & (2^k - 1)) * e_{t ^ 2^k}, times n/d when
-    t holds k.  With each field r offset to r + 2^63, the XOR with ``flip``
-    turns each field of odd sign (and, when n < 0, of t holding k) into
-    -r - 1; ``low`` selects the fields without k, which move up by
-    ``shift`` bits and scale by d, while the others move down and scale by
-    |n|.  ``up`` and ``down`` are the offsets of the fields that scale by
-    d and by |n|, less the ones that the XOR left out of the fields that
-    move up and down: ``up * d + down * |n|`` takes both out of the
-    result."""
+    t holds k.  The XOR with ``flip`` turns each offset field r + 2^63 of
+    odd sign into -r - 1 + 2^63; ``low`` selects the fields without k,
+    which move up by ``shift`` bits and scale by d, while the others move
+    down and scale by n, sign included.  ``base`` is the offsets as the XOR
+    leaves them, and ``up`` and ``down`` are ``base`` split and moved as
+    ``left`` splits and moves a row, so ``up * d + down * n`` takes them
+    out.  That is exact as the fields holding k are those without k
+    shifted by ``shift``, and as 2^63 - 1 never borrows from the next field."""
     offsets = int.from_bytes(b"\0\0\0\0\0\0\0\x80" * dim, "little")
-    block = 8 << k
-    low = int.from_bytes((b"\xff" * block + bytes(block)) * (dim >> k + 1), "little")
+    masks = []
     parity, inverse = bytes(8), b"\xff" * 8  # fields t < 2^k of odd popcount
-    for _ in range(k):
+    for k in range(dim.bit_length() - 1):
+        block = 8 << k
+        low = int.from_bytes((b"\xff" * block + bytes(block)) * (dim >> k + 1), "little")
+        shift = 64 << k
+        flip = int.from_bytes(parity * (dim >> k), "little")
+        base = offsets - ((flip & offsets) >> 63)
+        half = base & low
+        masks.append((flip, low, shift, half << shift, (base ^ half) >> shift))
         parity, inverse = parity + inverse, inverse + parity
-    shift = 64 << k
-    flip = int.from_bytes(parity * (dim >> k), "little")
-    if negative:
-        flip ^= low << shift
-    low_offsets = offsets & low
-    owed = (flip & offsets) >> 63
-    low_owed = owed & low
-    up = (offsets ^ low_offsets) - (low_owed << shift)
-    down = low_offsets - ((owed ^ low_owed) >> shift)
-    return flip, low, shift, up, down
+    return offsets, tuple(masks)
 
 
 def is_division_algebra(params: AlgebraParams) -> bool:

@@ -17,13 +17,15 @@ Each mutant runs the target's tests (``TESTS``; the whole suite for a
 target not listed there) with ``pytest -x`` in a fresh copy of ``src/``,
 ``tests/``, ``pyproject.toml`` and ``README.md`` under a temporary
 directory, with a fixed hypothesis seed and no shrinking, and is killed
-when they fail or run past ``TIMEOUT`` seconds.  A mutant that passes
-survives.  Each survivor that ``SURVIVORS`` records is equivalent to the
-original, for the reason given there; with ``--check`` the run exits 1 on
-any other.  A record names its line by text and by occurrence among the
-target's lines of that text, so identical lines keep separate records.
-Before any test runs, every run exits 2 if a record names no mutant that
-the harness generates, as after the line it names was rewritten.
+when they fail or run past the target's limit: ``MULTIPLE`` times as long
+as the same tests took without a mutant, the run each target starts with,
+and at least ``FLOOR`` seconds.  A mutant that passes survives.  Each
+survivor that ``SURVIVORS`` records is equivalent to the original, for the
+reason given there; with ``--check`` the run exits 1 on any other.  A
+record names its line by text and by occurrence among the target's lines
+of that text, so identical lines keep separate records.  Before any test
+runs, every run exits 2 if a record names no mutant that the harness
+generates, as after the line it names was rewritten.
 
 The file is not named ``test_*``, so pytest does not collect it.
 """
@@ -38,6 +40,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 import tokenize
 from dataclasses import dataclass
 from pathlib import Path
@@ -77,7 +80,7 @@ TESTS = {
     "quat._product": PRODUCT_TESTS,
     "quat._pair_loop": PRODUCT_TESTS,
     "quat._packed_rows": PACKED_TESTS,
-    "quat._left_masks": PACKED_TESTS,
+    "quat._layout": PACKED_TESTS,
     "quat._constants": ["tests/test_integer_form.py", "-k", "constants or memo"],
     "quat._reorder_parity": PRODUCT_TESTS,
     "quat._integer_form": ELEMENT_TESTS,
@@ -91,8 +94,12 @@ TESTS = {
     "quat.zero_divisor_witness": ["tests/test_quat.py", "-k", "witness or zero_divisor"],
 }
 
-#: seconds one mutant's tests may take before it counts as killed
-TIMEOUT = 60
+#: a mutant's tests may take MULTIPLE times as long as the target's tests
+#: without a mutant, and at least FLOOR seconds, before it counts as killed.
+#: Surviving mutants have taken up to 1.4 times their target's baseline;
+#: the floor absorbs start-up noise where the tests take under a second.
+MULTIPLE = 3
+FLOOR = 10
 
 Key = tuple[str, str, int, str]
 
@@ -178,15 +185,9 @@ SURVIVORS: dict[Key, str] = {
     ),
     **_recorded(
         "quat._packed_rows",
-        "masks = _left_masks if dim <= _MEMO_DIM else _left_masks.__wrapped__",
+        "offsets, masks = (_layout if dim <= _MEMO_DIM else _layout.__wrapped__)(dim)",
         [("<=", "<")],
         "it only sends dim = _MEMO_DIM past the cache, to the same function",
-    ),
-    **_recorded(
-        "quat._packed_rows",
-        "flip, low, shift, up, down = masks(k, dim, num < 0)",
-        [("num < 0", "num <= 0"), ("num < 0", "num < 1")],
-        "num is the numerator of a nonzero square, so num <= 0 and num < 1 hold iff num < 0",
     ),
     **_recorded(
         "quat._packed_rows", "m = max(n // 2, n - 6)", [("// 2", "// 3"), ("- 6", "- 7")],
@@ -203,6 +204,11 @@ SURVIVORS: dict[Key, str] = {
     **_recorded(
         "quat._packed_rows", "cs: list[list[int]] = [[] for _ in range(1 << m)]",
         [("1 << m", "2 << m")], "only the lists of the low parts l < 2^m are read",
+    ),
+    **_recorded(
+        "quat._layout", "for k in range(dim.bit_length() - 1):", [("- 1", "+ 1")],
+        "it builds masks for two generators past the rank, which zip(masks, parts) "
+        "in _packed_rows never reads",
     ),
 }
 
@@ -384,8 +390,9 @@ sys.exit(pytest.main(sys.argv[1:]))
 """
 
 
-def run_tests(workdir: Path, tests: list[str], seed: int) -> str:
-    """'passed', 'failed' or 'timeout' for ``tests`` in ``workdir``."""
+def run_tests(workdir: Path, tests: list[str], seed: int, limit: float | None = None) -> str:
+    """'passed', 'failed' or 'timeout' for ``tests`` in ``workdir``, run for
+    at most ``limit`` seconds."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(workdir / "src"))
     argv = [
         sys.executable, "-c", _RUN_PYTEST, "-x", "-q", "-p", "no:cacheprovider",
@@ -393,7 +400,7 @@ def run_tests(workdir: Path, tests: list[str], seed: int) -> str:
     ]
     try:
         result = subprocess.run(
-            argv, cwd=workdir, env=env, timeout=TIMEOUT,
+            argv, cwd=workdir, env=env, timeout=limit,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
     except subprocess.TimeoutExpired:
@@ -433,13 +440,21 @@ def main(argv: list[str] | None = None) -> int:
             tests = TESTS.get(target, ["tests"])
             path, lines, found = mutants(target)
             copy = workdir / "src" / path.relative_to(SRC)
+            start = time.perf_counter()
             if run_tests(workdir, tests, args.hypothesis_seed) != "passed":
                 print(f"{target}: the tests fail without a mutant", flush=True)
                 return 2
+            baseline = time.perf_counter() - start
+            limit = max(FLOOR, MULTIPLE * baseline)
+            print(
+                f"{target}: the tests pass in {baseline:.1f} s without a mutant; "
+                f"limit {limit:.1f} s per mutant",
+                flush=True,
+            )
             killed = 0
             for mutant in found:
                 copy.write_text("".join(mutant.apply(lines)))
-                outcome = run_tests(workdir, tests, args.hypothesis_seed)
+                outcome = run_tests(workdir, tests, args.hypothesis_seed, limit)
                 key = mutant.key(lines)
                 if outcome == "passed":
                     known = key in SURVIVORS

@@ -407,6 +407,21 @@ def test_products_at_the_63_bit_bound(monkeypatch, square, scale, packed):
     assert len(calls) == packed
 
 
+def test_packed_rows_match_for_both_signs_on_one_layout(monkeypatch):
+    """A dense rank-5 pair and the same pair over the negated squares both
+    take packed rows and match the reference, on the one cached layout of
+    32 fields: its masks do not depend on the squares or their signs."""
+    x, y = small_dense_pair(5, seed=5)
+    negated = DiagonalForm(tuple(-s for s in x.form.squares))
+    over_negated = [CliffordElement(negated, v.coeffs) for v in (x, y)]
+    quat._layout.cache_clear()
+    calls = packed_row_calls(monkeypatch)
+    for pair in ((x, y), over_negated):
+        assert_product_matches_reference(*pair)
+    assert len(calls) == 2
+    assert quat._layout.cache_info().currsize == 1
+
+
 def test_element_str():
     x = CliffordElement(NEG_NEG, (Fraction(1), Fraction(-2), Fraction(0), Fraction(1, 2)))
     assert str(x) == "1 - 2*e1 + 1/2*e1e2"

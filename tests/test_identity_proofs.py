@@ -264,10 +264,10 @@ def test_broken_product_kernel_fails_the_reference_check(monkeypatch, old, new):
 @pytest.mark.parametrize(
     "name,old,new",
     [
-        ("_left_masks", "flip ^= low << shift", "flip ^= 0"),
-        ("_left_masks", "parity + inverse, inverse + parity", "parity + parity, inverse + inverse"),
-        ("_left_masks", "down = low_offsets - ((owed ^ low_owed) >> shift)", "down = low_offsets"),
-        ("_packed_rows", "* d + ((row ^ half) >> shift) * mag", "* mag + ((row ^ half) >> shift) * d"),
+        ("_packed_rows", ") * num - correction", ") * abs(num) - correction"),
+        ("_layout", "parity + inverse, inverse + parity", "parity + parity, inverse + inverse"),
+        ("_layout", "base = offsets - ((flip & offsets) >> 63)", "base = offsets"),
+        ("_packed_rows", "* d + ((row ^ half) >> shift) * num", "* num + ((row ^ half) >> shift) * d"),
         ("_packed_rows", "// parts[m + k][1]", "// 1"),
         ("_packed_rows", "row = (row + offsets) ^ flip", "row = row ^ flip"),
         ("_packed_rows", "without * parts[k][1] + ", "without + "),

@@ -41,3 +41,23 @@ def test_a_stale_record_stops_the_run_before_any_test(monkeypatch, capsys):
         "quat._product: stale record: 'len(xs) * len(ys) > 8 * dim' (#0) -> "
         "'len(xs) * len(ys) > 9 * dim'\n"
     )
+
+
+def test_each_mutant_runs_under_a_limit_from_its_targets_own_baseline(monkeypatch, capsys):
+    """The run without a mutant has no limit; every mutant after it gets
+    ``MULTIPLE`` times that run's time, or ``FLOOR`` seconds if that is
+    longer."""
+    limits = []
+
+    def run_tests(workdir, tests, seed, limit=None):
+        limits.append(limit)
+        return "passed" if limit is None else "failed"
+
+    monkeypatch.setattr(mutate, "run_tests", run_tests)
+    for baseline, limit in ((100.0, mutate.MULTIPLE * 100.0), (0.0, mutate.FLOOR)):
+        clock = iter([0.0, baseline])
+        monkeypatch.setattr(mutate.time, "perf_counter", lambda: next(clock))
+        limits.clear()
+        assert mutate.main(["quat._constants"]) == 0
+        assert limits == [None, limit]
+        assert f"limit {limit:.1f} s per mutant" in capsys.readouterr().out
