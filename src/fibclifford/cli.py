@@ -239,7 +239,7 @@ def _cmd_clifford_table(ns: argparse.Namespace) -> int:
     form = DiagonalForm(ns.squares)
     names = [blade_name(m) for m in range(form.dim)]
     products = ((blade_product(i, j, form) for j in range(form.dim)) for i in range(form.dim))
-    rows = ([_signed_sum([(c, names[m])]) for c, m in row] for row in products)
+    rows = ([_signed_sum([(*c.as_integer_ratio(), names[m])]) for c, m in row] for row in products)
     if ns.json:
         # the bytes of json.dumps of the whole table, one row at a time
         head = json.dumps({"squares": [format_rat(s) for s in form.squares], "blades": names})

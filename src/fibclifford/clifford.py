@@ -25,8 +25,8 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import DegenerateFormError, MixedFormsError
-from .exactnum import QSqrt5, Rat, _signed_sum, _to_rat, format_rat
-from .fib import HoradamParams
+from .exactnum import QSqrt5, Rat, _builder, _signed_sum, _to_rat, format_rat
+from .fib import _check_seeds
 from .fibquat import (
     ThresholdCertificate,
     _basis_norms,
@@ -65,16 +65,6 @@ class DiagonalForm:
                 )
         object.__setattr__(self, "squares", squares)
 
-    @classmethod
-    def _of(cls, squares: tuple[Fraction, ...]) -> DiagonalForm:
-        """The form of nonzero ``Fraction`` squares, at most ``MAX_GENERATORS``
-        of them, taken as they are: the constructor for forms the package
-        computed itself."""
-        new = object.__new__(cls)
-        object.__setattr__(new, "squares", squares)
-        object.__setattr__(new, "_products", None)
-        return new
-
     @property
     def rank(self) -> int:
         return len(self.squares)
@@ -89,6 +79,11 @@ class DiagonalForm:
     def _parts(self) -> tuple[tuple[int, int], ...]:
         """The squares as (numerator, denominator) pairs."""
         return tuple(s.as_integer_ratio() for s in self.squares)
+
+
+#: the form of nonzero ``Fraction`` squares, at most ``MAX_GENERATORS`` of
+#: them, taken as they are: for forms the package computed itself
+_form = _builder(DiagonalForm)
 
 
 def _diag(squares: tuple[Fraction, ...]) -> str:
@@ -183,7 +178,8 @@ class CliffordElement(_Element):
         return self._times(other, self.form)
 
     def __str__(self) -> str:
-        return _signed_sum((c, blade_name(mask)) for mask, c in enumerate(self.coeffs) if c)
+        den = self.den
+        return _signed_sum((n, den, blade_name(mask)) for mask, n in enumerate(self.nums) if n)
 
 
 class CliffordClass(Enum):
@@ -268,6 +264,7 @@ class ClassificationReport:
         return quaternion_isomorphism(self.form)
 
     def to_json(self) -> dict:
+        witness = self.scaling_witness
         data = {
             "beta1": format_rat(self.params.beta1),
             "beta2": format_rat(self.params.beta2),
@@ -278,16 +275,16 @@ class ClassificationReport:
             "form": [format_rat(self.form[0]), format_rat(self.form[1])],
             "clifford_class": self.clifford_class.value,
             "canonical": self.canonical,
-            "scaling_witness": [
-                format_rat(self.scaling_witness[0]),
-                format_rat(self.scaling_witness[1]),
-            ],
+            "scaling_witness": [format_rat(witness[0]), format_rat(witness[1])],
         }
         if self.seeds is not None:
             data["p"], data["q"] = self.seeds
             data["E_prime"] = self.seeded_discriminant.to_json()
             data["seeded_n_prime"] = self.seeded_certificate.n_prime
         return data
+
+
+_report = _builder(ClassificationReport)
 
 
 def classify(
@@ -310,17 +307,19 @@ def classify(
     discriminant and are rejected.
 
     The seeds are checked here, once; every value below is the package's
-    own, so the form and E values are built as they are
-    (``DiagonalForm._of``, ``QSqrt5._of``), and the class is read off the
-    limit sign.  One constant-time check remains: the walk's two norms,
-    signed so that the limit is positive, must both be positive, which puts
-    both form entries on the limit sign's side, as ``rank2_class`` reads
-    them.
+    own and is built eagerly, from the integers of the growth constants and
+    the certificates, as it is: E and E' by ``exactnum._qsqrt5``, one gcd
+    each, and the form, the certificates and the report by
+    ``exactnum._builder``'s constructors, which fill their slots without
+    checks.  The class is read off the limit sign.  One constant-time check
+    remains: the walk's two norms, signed so that the limit is positive,
+    must both be positive, which puts both form entries on the limit sign's
+    side, as ``rank2_class`` reads them.
     """
     if (p is None) != (q is None):
         raise ValueError("seeds p and q must be given together")
     if p is not None:
-        HoradamParams(p, q)
+        _check_seeds(p, q)
     growth = _growth_integers(params)
     certificate, (v0, v1) = _certify(params, growth, 0, 1)
     seeds = seeded_discriminant = seeded_certificate = None
@@ -332,9 +331,9 @@ def classify(
         raise AssertionError("the form at n' does not carry the limit sign")
     sign = certificate.limit_sign
     c0 = growth[0][0]
-    form = DiagonalForm._of((Fraction(sign * v0, c0), Fraction(sign * v1, c0)))
+    form = _form((Fraction(sign * v0, c0), Fraction(sign * v1, c0)))
     clifford_class = CliffordClass.DIVISION if sign < 0 else CliffordClass.SPLIT
-    return ClassificationReport(
+    return _report(
         params, _discriminant(growth), certificate, form, clifford_class,
         seeds, seeded_discriminant, seeded_certificate,
     )

@@ -3,21 +3,24 @@
 ``Rat`` is an alias for :class:`fractions.Fraction`, which already keeps the
 canonical form used throughout this package (reduced, positive denominator,
 structural equality).  :class:`QSqrt5` represents the real number
-``a + b*sqrt(5)`` with rational ``a``, ``b``.  Because sqrt(5) is irrational
-the representation is unique, so equality is componentwise, and a rational
-compares equal to (and hashes like) the element with a zero sqrt(5) part.
-The sign of any element, and so the order, is decidable on integers, by
-comparing x**2 with 5*y**2 once the denominators are cleared; no floating
-point appears anywhere.
+``(x + y*sqrt(5))/den`` by integers x, y and den > 0 with
+``gcd(x, y, den) == 1``; its rational parts ``a = x/den`` and ``b = y/den``
+are derived.  Because sqrt(5) is irrational the representation is unique,
+so equality is componentwise, and a rational compares equal to (and hashes
+like) the element with a zero sqrt(5) part.  Arithmetic stays on the
+integers and brings each result to lowest terms by one gcd.  The sign of
+any element, and so the order, is decidable on integers, by comparing x**2
+with 5*y**2; no floating point appears anywhere.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import total_ordering
+from math import gcd, lcm
 
 from .errors import LiteralTooLongError
 
@@ -31,6 +34,30 @@ _RAT_PATTERN = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 #: Most digits one integer of a literal may have; below CPython's default
 #: 4300-digit str-to-int limit, so this cap, a domain error, applies first.
 MAX_LITERAL_DIGITS = 4000
+
+
+def _builder(cls: type) -> Callable:
+    """A constructor for the frozen slotted dataclass ``cls`` that takes the
+    arguments of its ``__init__`` and keeps them as they are: the
+    constructor for values the package computed itself.  It fills each
+    slot through the slot's own descriptor, a field that ``__init__`` does
+    not take with its default, and runs no ``__post_init__`` or check.
+    The dataclass ``__init__`` of a frozen class calls ``object.__setattr__``
+    once per field instead, which takes about twice as long."""
+    env = {"new": object.__new__, "cls": cls}
+    params, body = [], []
+    for f in fields(cls):
+        env[f"set_{f.name}"] = cls.__dict__[f.name].__set__
+        if f.init:
+            params.append(f.name)
+        else:
+            env[f.name] = f.default
+        body.append(f"set_{f.name}(obj, {f.name})")
+    source = "\n    ".join(
+        [f"def build({', '.join(params)}):", "obj = new(cls)", *body, "return obj"]
+    )
+    exec(source, env)
+    return env["build"]
 
 
 def _to_rat(value: Rat | int) -> Rat:
@@ -91,25 +118,32 @@ def _decimal(n: int) -> str:
     return _decimal(high) + _decimal(low).zfill(low_digits)
 
 
+def _format_ratio(n: int, d: int) -> str:
+    """The rational n/d, for integers n and d > 0, in the textual wire format
+    (``-3/2``, ``7``), brought to lowest terms by one gcd."""
+    g = gcd(n, d)
+    if g == d:
+        return _decimal(n // g)
+    return f"{_decimal(n // g)}/{_decimal(d // g)}"
+
+
 def format_rat(value: Rat | int) -> str:
     """Render a rational in the textual wire format (``-3/2``, ``7``), of any size."""
-    x = _to_rat(value)
-    if x.denominator == 1:
-        return _decimal(x.numerator)
-    return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
+    return _format_ratio(*_to_rat(value).as_integer_ratio())
 
 
-def _signed_sum(terms: Iterable[tuple[Rat | int, str]]) -> str:
-    """Render ``(coefficient, basis name)`` pairs as a signed sum such as
-    ``1 - e2 + 5/2*e4``: zero terms are skipped, a coefficient of magnitude
-    1 is left out, the name ``"1"`` is the unit, and no terms print ``0``."""
+def _signed_sum(terms: Iterable[tuple[int, int, str]]) -> str:
+    """Render ``(numerator, denominator, basis name)`` triples, each
+    denominator positive, as a signed sum such as ``1 - e2 + 5/2*e4``: zero
+    terms are skipped, a coefficient of magnitude 1 is left out, the name
+    ``"1"`` is the unit, and no terms print ``0``."""
     parts = []
-    for coeff, name in terms:
-        if not coeff:
+    for num, den, name in terms:
+        if not num:
             continue
-        mag = format_rat(abs(coeff))
+        mag = _format_ratio(abs(num), den)
         term = mag if name == "1" else name if mag == "1" else f"{mag}*{name}"
-        parts.append(("- " if coeff < 0 else "+ ") + term)
+        parts.append(("- " if num < 0 else "+ ") + term)
     if not parts:
         return "0"
     text = " ".join(parts)
@@ -128,29 +162,39 @@ def _sign_z5(x: int, y: int) -> int:
 
 
 @total_ordering
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class QSqrt5:
-    """The real number ``a + b*sqrt(5)``, exactly."""
+    """The real number ``(x + y*sqrt(5))/den``, exactly, in lowest terms:
+    integers x, y and den > 0 with ``gcd(x, y, den) == 1``.  The constructor
+    takes the rational parts of ``a + b*sqrt(5)``, which ``a`` and ``b``
+    give back."""
 
-    a: Fraction
-    b: Fraction
+    x: int
+    y: int
+    den: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", _to_rat(self.a))
-        object.__setattr__(self, "b", _to_rat(self.b))
+    def __init__(self, a: Rat | int, b: Rat | int) -> None:
+        (p, q), (r, s) = _to_rat(a).as_integer_ratio(), _to_rat(b).as_integer_ratio()
+        # in lowest terms: every prime power of the lcm is the full power in
+        # one part's denominator, whose reduced numerator it does not divide
+        den = lcm(q, s)
+        object.__setattr__(self, "x", p * (den // q))
+        object.__setattr__(self, "y", r * (den // s))
+        object.__setattr__(self, "den", den)
 
-    @classmethod
-    def _of(cls, a: Fraction, b: Fraction) -> QSqrt5:
-        """``a + b*sqrt(5)`` for ``Fraction``s a and b, taken as they are: the
-        constructor for values the package computed itself."""
-        new = object.__new__(cls)
-        object.__setattr__(new, "a", a)
-        object.__setattr__(new, "b", b)
-        return new
+    @property
+    def a(self) -> Fraction:
+        """The rational part."""
+        return Fraction(self.x, self.den)
+
+    @property
+    def b(self) -> Fraction:
+        """The coefficient of sqrt(5)."""
+        return Fraction(self.y, self.den)
 
     @classmethod
     def from_rat(cls, value: Rat | int) -> QSqrt5:
-        return cls(value, Fraction(0))
+        return cls(value, 0)
 
     # -- ring / field operations -------------------------------------------
 
@@ -159,14 +203,16 @@ class QSqrt5:
         if isinstance(other, QSqrt5):
             return other
         if isinstance(other, (int, Fraction)):
-            return QSqrt5(other, Fraction(0))
+            n, d = other.as_integer_ratio()
+            return _canonical(n, 0, d)
         return None
 
     def __add__(self, other: QSqrt5 | Rat | int) -> QSqrt5:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QSqrt5(self.a + o.a, self.b + o.b)
+        d, e = self.den, o.den
+        return _qsqrt5(self.x * e + o.x * d, self.y * e + o.y * d, d * e)
 
     __radd__ = __add__
 
@@ -174,25 +220,23 @@ class QSqrt5:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QSqrt5(self.a - o.a, self.b - o.b)
+        return self + -o
 
     def __rsub__(self, other: QSqrt5 | Rat | int) -> QSqrt5:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return o + -self
 
     def __neg__(self) -> QSqrt5:
-        return QSqrt5(-self.a, -self.b)
+        return _canonical(-self.x, -self.y, self.den)
 
     def __mul__(self, other: QSqrt5 | Rat | int) -> QSqrt5:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QSqrt5(
-            self.a * o.a + 5 * self.b * o.b,
-            self.a * o.b + self.b * o.a,
-        )
+        x, y, u, v = self.x, self.y, o.x, o.y
+        return _qsqrt5(x * u + 5 * y * v, x * v + y * u, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -213,7 +257,7 @@ class QSqrt5:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        result = QSqrt5(Fraction(1), Fraction(0))
+        result = ONE
         base = self
         while n:
             if n & 1:
@@ -224,29 +268,28 @@ class QSqrt5:
 
     def conjugate(self) -> QSqrt5:
         """Galois conjugate ``a - b*sqrt(5)``."""
-        return QSqrt5(self.a, -self.b)
+        return _canonical(self.x, -self.y, self.den)
 
     def inverse(self) -> QSqrt5:
-        # x * conj(x) = a^2 - 5 b^2 is rational and zero only for x = 0.
-        d = self.a * self.a - 5 * self.b * self.b
-        if d == 0:
+        # (x + y sqrt5)(x - y sqrt5) = x^2 - 5 y^2 is an integer, zero only for x = y = 0
+        x, y, den = self.x, self.y, self.den
+        norm = x * x - 5 * y * y
+        if norm == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt(5))")
-        return QSqrt5(self.a / d, -self.b / d)
+        if norm < 0:
+            norm, den = -norm, -den
+        return _qsqrt5(den * x, -den * y, norm)
 
     # -- order structure ----------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign of the real number.
-
-        Scaled by the positive common denominator of ``a`` and ``b`` it is an
-        integer x + y*sqrt(5); when x and y differ in sign, comparing x**2
-        with 5*y**2 settles it without leaving Z.
-        """
-        a, b = self.a, self.b
-        return _sign_z5(a.numerator * b.denominator, b.numerator * a.denominator)
+        """Exact sign of the real number: that of x + y*sqrt(5), as den > 0;
+        when x and y differ in sign, comparing x**2 with 5*y**2 settles it
+        without leaving Z."""
+        return _sign_z5(self.x, self.y)
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return self.x == 0 and self.y == 0
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -258,10 +301,10 @@ class QSqrt5:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.a == o.a and self.b == o.b
+        return self.x == o.x and self.y == o.y and self.den == o.den
 
     def __hash__(self) -> int:
-        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
+        return hash((self.x, self.y, self.den)) if self.y else hash(self.a)
 
     def __lt__(self, other: QSqrt5 | Rat | int) -> bool:
         o = self._coerce(other)
@@ -273,15 +316,28 @@ class QSqrt5:
 
     def as_rat(self) -> Rat:
         """The value as a plain rational; fails if the sqrt(5) part is nonzero."""
-        if self.b != 0:
+        if self.y:
             raise ValueError(f"{self} is irrational")
         return self.a
 
     def to_json(self) -> dict[str, str]:
-        return {"a": format_rat(self.a), "b": format_rat(self.b)}
+        return {"a": _format_ratio(self.x, self.den), "b": _format_ratio(self.y, self.den)}
 
     def __str__(self) -> str:
-        return _signed_sum(((self.a, "1"), (self.b, "sqrt(5)")))
+        return _signed_sum(((self.x, self.den, "1"), (self.y, self.den, "sqrt(5)")))
+
+
+#: (x + y*sqrt(5))/den from integers already in lowest terms, as they are
+_canonical = _builder(QSqrt5)
+
+
+def _qsqrt5(x: int, y: int, den: int) -> QSqrt5:
+    """(x + y*sqrt(5))/den for integers x, y and den > 0, brought to lowest
+    terms by one gcd: the constructor for values the package computed itself."""
+    g = gcd(x, y, den)
+    if g != 1:
+        x, y, den = x // g, y // g, den // g
+    return _canonical(x, y, den)
 
 
 ZERO = QSqrt5(Fraction(0), Fraction(0))

@@ -20,8 +20,14 @@ class HoradamParams:
     q: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.p, int) or not isinstance(self.q, int):
-            raise TypeError("Horadam seeds must be integers")
+        _check_seeds(self.p, self.q)
+
+
+def _check_seeds(p: int, q: int) -> None:
+    """Reject seeds that are not plain ``int``s: ``bool`` too, which would
+    otherwise reach the wire format as ``true``/``false``."""
+    if type(p) is not int or type(q) is not int:
+        raise TypeError("Horadam seeds must be integers")
 
 
 def _check_index(n: int) -> None:

@@ -26,10 +26,10 @@ so the horizon is found by an unbounded search over the squares
 (3 + sqrt 5)^(2^k), in O(log N) products.  The direct checks below the
 horizon take the sign of v(m) = d1*d2*n(H(m; p, q)), an integer of the same
 sign as the norm, which obeys v(m+3) = 2v(m+2) + 2v(m+1) - v(m): three
-values from one coefficient window, then three additions per index.  E is
-never zero for rational beta_i (see :func:`_certify`).  The closed forms stay
-public as the paper's identities; the test suite checks them against the
-direct norms.
+values from the seeds and the next four terms, then three additions per
+index.  E is never zero for rational beta_i (see :func:`_certify`).  The
+closed forms stay public as the paper's identities; the test suite checks
+them against the direct norms.
 
 The other quantities are read off the same integers: E and the seeded
 discriminant E' = (p + q*alpha)^2 * E / 5 divide the growth integers and
@@ -43,11 +43,13 @@ walk hands back.
 
 Seeds are checked once, at the public entry points that take them
 (``horadam_invertibility_threshold``, ``horadam_growth_discriminant``,
-``horadam_quaternion``, ``horadam_norm_closed_form`` and ``classify``):
-every non-``int`` seed raises ``TypeError`` there, before any arithmetic on
-it.  The private helpers below take checked seeds and the package's own
-integers as they are, and build their ``QSqrt5`` results through the
-trusted ``QSqrt5._of``.
+``horadam_quaternion``, ``horadam_norm_closed_form`` and ``classify``),
+by ``fib._check_seeds``: every seed that is not an ``int``, or is a
+``bool``, raises ``TypeError`` there, before any arithmetic on it.  The private helpers below take checked seeds and the package's own
+integers as they are.  Every ``QSqrt5`` here is built from its integers
+x, y and den by the trusted ``exactnum._qsqrt5``, which brings them to
+lowest terms by one gcd, and the certificates and growth profiles by
+``exactnum._builder``'s constructors, which run no checks.
 
 Horadam quaternions H(n; p, q) carry coefficients (h(n), ..., h(n+3)) of the
 seeded sequence h(0) = p, h(1) = q, read off ``fib._window`` like every
@@ -62,8 +64,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BelowThresholdError, IndeterminateError
-from .exactnum import ALPHA, QSqrt5, Rat, _sign_z5, _to_rat
-from .fib import HoradamParams, _window
+from .exactnum import ALPHA, QSqrt5, Rat, _builder, _qsqrt5, _sign_z5, _to_rat
+from .fib import _check_seeds, _window
 from .quat import AlgebraParams, Quaternion, _norm_coefficients
 
 
@@ -90,6 +92,9 @@ class GrowthProfile:
         }
 
 
+_profile = _builder(GrowthProfile)
+
+
 @dataclass(frozen=True, slots=True)
 class ThresholdCertificate:
     """Certified minimal index from which norm signs stay equal to limit_sign.
@@ -111,6 +116,9 @@ class ThresholdCertificate:
             "horizon": self.horizon,
             "limit_sign": self.limit_sign,
         }
+
+
+_certificate = _builder(ThresholdCertificate)
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,7 +179,7 @@ def horadam_quaternion(n: int, p: int, q: int, params: AlgebraParams) -> Quatern
     For every n >= 0 this is p*F(n-1) + q*F(n), from one ``fib._window``;
     the test suite checks that identity, for small n and for n >= 1000.
     """
-    HoradamParams(p, q)
+    _check_seeds(p, q)
     return Quaternion(params, *_window(n, p, q)[:4])
 
 
@@ -199,8 +207,7 @@ def _growth_integers(params: AlgebraParams) -> _Growth:
 def _discriminant(growth: _Growth) -> QSqrt5:
     """E = S+/5 = (x + y*sqrt 5)/(10*d1*d2) from :func:`_growth_integers`."""
     c, x, y, _ = growth
-    den = 10 * c[0]
-    return QSqrt5._of(Fraction(x, den), Fraction(y, den))
+    return _qsqrt5(x, y, 10 * c[0])
 
 
 def _seeded_growth(growth: _Growth, p: int, q: int) -> tuple[int, int]:
@@ -221,8 +228,7 @@ def _e_prime(growth: _Growth, pair: tuple[int, int]) -> QSqrt5:
     """E' = (gx + gy*sqrt 5)/(200*d1*d2) for the pair (gx, gy) of
     :func:`_seeded_growth`."""
     gx, gy = pair
-    den = 200 * growth[0][0]
-    return QSqrt5._of(Fraction(gx, den), Fraction(gy, den))
+    return _qsqrt5(gx, gy, 200 * growth[0][0])
 
 
 def growth_profile(params: AlgebraParams) -> GrowthProfile:
@@ -230,10 +236,8 @@ def growth_profile(params: AlgebraParams) -> GrowthProfile:
     :func:`_growth_integers` (S+ = 1 + b1*a^2 + b2*a^4 + b1*b2*a^6 at the
     golden ratio a, S- at its conjugate, S0 = 1 - b1 + b2 - b1*b2)."""
     growth = c, x, y, z = _growth_integers(params)
-    den = c[0]
-    dominant = QSqrt5._of(Fraction(x, 2 * den), Fraction(y, 2 * den))
-    oscillating = QSqrt5._of(Fraction(z, den), Fraction(0))
-    return GrowthProfile(dominant, dominant.conjugate(), oscillating, _discriminant(growth))
+    dominant = _qsqrt5(x, y, 2 * c[0])
+    return _profile(dominant, dominant.conjugate(), _qsqrt5(z, 0, c[0]), _discriminant(growth))
 
 
 def growth_discriminant(params: AlgebraParams) -> QSqrt5:
@@ -250,7 +254,7 @@ def growth_discriminant(params: AlgebraParams) -> QSqrt5:
 
 def horadam_growth_discriminant(params: AlgebraParams, p: int, q: int) -> QSqrt5:
     """Seeded discriminant (p + q*alpha)^2 * E / 5; zero only for p = q = 0."""
-    HoradamParams(p, q)
+    _check_seeds(p, q)
     growth = _growth_integers(params)
     return _e_prime(growth, _seeded_growth(growth, p, q))
 
@@ -270,7 +274,7 @@ def horadam_norm_closed_form(n: int, params: AlgebraParams, p: int, q: int) -> R
     to twice the rational part of t."""
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
-    HoradamParams(p, q)
+    _check_seeds(p, q)
     profile = growth_profile(params)
     a = ALPHA * q + p
     t = a * a * profile.dominant * ALPHA ** (2 * n - 2)
@@ -325,8 +329,9 @@ def _certify(
     h(m)^2 lies in the span of alpha^(2m), beta^(2m) and (-1)^m, powers of
     the roots of (x^2 - 3x + 1)(x + 1) = x^3 - 2x^2 - 2x + 1, and so does
     v(m), a fixed combination of four shifts of h^2; hence
-    v(m+3) = 2v(m+2) + 2v(m+1) - v(m).  v(0), v(1) and v(2) come from the
-    window (h(0), ..., h(5)), and each further index costs three additions.
+    v(m+3) = 2v(m+2) + 2v(m+1) - v(m).  v(0), v(1) and v(2) come from
+    (h(0), ..., h(5)): the seeds h(0) = p, h(1) = q and four additions, with
+    no doubling pass for index 0.  Each further index costs three additions.
     The walk keeps v(n') and v(n'+1) each time it moves n'.
 
     The limit sign is sign(A^2 S+).  S+ = u + v*alpha with rational u, v
@@ -374,11 +379,13 @@ def _certify(
                 powers.append((px * px + 5 * py * py, 2 * px * py))
         horizon = n + 1
     # direct checks: v(m) = d1*d2*n(H(m)), signed so that the limit is positive,
-    # from the window (h(0), ..., h(5)) of the sequence seeded by (p, q) and then
-    # by v(m+3) = 2v(m+2) + 2v(m+1) - v(m)
-    h0, h1, h2, h3, h4 = _window(0, p, q)
+    # from the terms (h(0), ..., h(5)) of the sequence seeded by h(0) = p and
+    # h(1) = q, and then by v(m+3) = 2v(m+2) + 2v(m+1) - v(m)
+    h2 = p + q
+    h3 = q + h2
+    h4 = h2 + h3
     h5 = h3 + h4
-    s0, s1, s2, s3, s4, s5 = h0 * h0, h1 * h1, h2 * h2, h3 * h3, h4 * h4, h5 * h5
+    s0, s1, s2, s3, s4, s5 = p * p, q * q, h2 * h2, h3 * h3, h4 * h4, h5 * h5
     v0 = c0 * s0 + c1 * s1 + c2 * s2 + c3 * s3
     v1 = c0 * s1 + c1 * s2 + c2 * s3 + c3 * s4
     v2 = c0 * s2 + c1 * s3 + c2 * s4 + c3 * s5
@@ -390,7 +397,7 @@ def _certify(
             n_prime, norms = m + 1, (v1, v2)
         t = v1 + v2
         v0, v1, v2 = v1, v2, t + t - v0
-    return ThresholdCertificate(n_prime, horizon, limit_sign), norms
+    return _certificate(n_prime, horizon, limit_sign), norms
 
 
 def invertibility_threshold(params: AlgebraParams) -> ThresholdCertificate:
@@ -416,7 +423,7 @@ def horadam_invertibility_threshold(
     A = p + q*alpha, B = p + q*beta.  Seeds (0, 0) raise
     :class:`IndeterminateError`; all other seeds certify.
     """
-    HoradamParams(p, q)
+    _check_seeds(p, q)
     return _certify(params, _growth_integers(params), p, q)[0]
 
 

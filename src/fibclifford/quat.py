@@ -272,14 +272,14 @@ class Quaternion(_Element):
         }
 
     def __str__(self) -> str:
-        return _signed_sum(zip(self.coeffs, ("1", "e2", "e3", "e4")))
+        den, names = self.den, ("1", "e2", "e3", "e4")
+        return _signed_sum((n, den, name) for n, name in zip(self.nums, names))
 
 
 def _norm_coefficients(params: AlgebraParams) -> tuple[int, int, int, int]:
     """c = (d1*d2, n1*d2, n2*d1, n1*n2) = d1*d2*(1, b1, b2, b1*b2) for
     beta_i = n_i/d_i: d1*d2*n(x) = c0*x1^2 + c1*x2^2 + c2*x3^2 + c3*x4^2."""
-    n1, d1 = params.beta1.numerator, params.beta1.denominator
-    n2, d2 = params.beta2.numerator, params.beta2.denominator
+    (n1, d1), (n2, d2) = params.beta1.as_integer_ratio(), params.beta2.as_integer_ratio()
     return d1 * d2, n1 * d2, n2 * d1, n1 * n2
 
 

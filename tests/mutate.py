@@ -55,6 +55,13 @@ PRODUCT_TESTS = ["tests/test_clifford.py", "tests/test_integer_form.py"]
 ELEMENT_TESTS = ["tests/test_integer_form.py", "tests/test_quat.py"]
 SCALING_TESTS = [*ELEMENT_TESTS, "tests/test_identity_proofs.py", "-k", "scal"]
 TEXT_TESTS = ["tests/test_exactnum.py", "tests/test_cli.py"]
+# QSqrt5's arithmetic and renderings: the integer form against Fraction
+# pairs, and the digest of every classify and growth_profile JSON
+QSQRT5_TESTS = [
+    "tests/test_exactnum.py", "tests/test_render.py", "tests/test_output_identity.py",
+    "tests/test_integer_form.py::"
+    "test_every_qsqrt5_operation_keeps_the_integer_form_and_matches_fraction_pairs",
+]
 # the packed-rows tests alone: direct calls against the pair loop, the
 # admission rule on both sides and the 63-bit bound
 PACKED_TESTS = [
@@ -67,6 +74,7 @@ TESTS = {
     "clifford.blade_product": ["tests/test_clifford.py", "tests/test_acceptance.py"],
     "fibquat._seeded_growth": SEEDED_TESTS,
     "fibquat._e_prime": SEEDED_TESTS,
+    "fibquat._discriminant": SEEDED_TESTS,
     "fibquat._basis_norms": SEEDED_TESTS,
     "fibquat._certify": CERTIFY_TESTS,
     "fibquat._growth_integers": CERTIFY_TESTS,
@@ -74,6 +82,11 @@ TESTS = {
         "tests/test_exactnum.py", "tests/test_fibquat.py", "tests/test_threshold_ladder.py",
     ],
     "exactnum._decimal": TEXT_TESTS,
+    "exactnum._qsqrt5": QSQRT5_TESTS,
+    "exactnum._format_ratio": QSQRT5_TESTS,
+    "exactnum.QSqrt5.__add__": QSQRT5_TESTS,
+    "exactnum.QSqrt5.__mul__": QSQRT5_TESTS,
+    "exactnum.QSqrt5.inverse": QSQRT5_TESTS,
     "exactnum.parse_rat": TEXT_TESTS,
     "cli._normalize_argv": ["tests/test_cli.py"],
     "fib._window": ["tests/test_fib.py", "tests/test_fibquat.py"],
@@ -153,6 +166,10 @@ SURVIVORS: dict[Key, str] = {
     **_recorded(
         "exactnum._sign_z5", "return sx if x * x > 5 * y * y else -sx", [(">", ">=")],
         "x^2 = 5y^2 has no solution in nonzero integers, and x, y != 0 here",
+    ),
+    **_recorded(
+        "exactnum.QSqrt5.inverse", "if norm < 0:", [("< 0", "<= 0"), ("< 0", "< 1")],
+        "the norm is nonzero here: the check above raises on 0",
     ),
     **_recorded(
         "exactnum._decimal", "if n.bit_length() < 1990:", [("<", "<="), ("1990", "1991")],

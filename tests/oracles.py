@@ -81,14 +81,53 @@ def fibonacci_form_reference(n: int, params: AlgebraParams) -> tuple[Fraction, F
 
 
 def sign_by_interval(x: QSqrt5) -> int:
+    """The sign of x, by :func:`pair_sign` on its rational parts."""
+    return pair_sign((x.a, x.b))
+
+
+# -- Q(sqrt 5) on plain Fraction pairs (a, b), the number a + b*sqrt(5) --------
+# The references for ``QSqrt5``'s integer arithmetic; they use nothing from
+# the package.
+
+Pair = tuple[Fraction, Fraction]
+
+
+def pair_add(u: Pair, v: Pair) -> Pair:
+    return u[0] + v[0], u[1] + v[1]
+
+
+def pair_sub(u: Pair, v: Pair) -> Pair:
+    return u[0] - v[0], u[1] - v[1]
+
+
+def pair_mul(u: Pair, v: Pair) -> Pair:
+    return u[0] * v[0] + 5 * u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+
+
+def pair_inverse(u: Pair) -> Pair:
+    """1/(a + b sqrt5) = (a - b sqrt5)/(a^2 - 5b^2)."""
+    norm = u[0] * u[0] - 5 * u[1] * u[1]
+    return u[0] / norm, -u[1] / norm
+
+
+def pair_pow(u: Pair, n: int) -> Pair:
+    """u^n by |n| multiplications, inverted for n < 0."""
+    result = (Fraction(1), Fraction(0))
+    for _ in range(abs(n)):
+        result = pair_mul(result, u)
+    return result if n >= 0 else pair_inverse(result)
+
+
+def pair_sign(u: Pair) -> int:
     """Sign via shrinking rational enclosures of sqrt(5); terminates for any
     exact input because sqrt(5) is irrational."""
-    if x.a == 0 and x.b == 0:
+    a, b = u
+    if a == 0 and b == 0:
         return 0
     lo, hi = Fraction(2), Fraction(9, 4)  # 2 < sqrt(5) < 2.25
     while True:
-        lo_val = x.a + x.b * (lo if x.b > 0 else hi)
-        hi_val = x.a + x.b * (hi if x.b > 0 else lo)
+        lo_val = a + b * (lo if b > 0 else hi)
+        hi_val = a + b * (hi if b > 0 else lo)
         if lo_val > 0:
             return 1
         if hi_val < 0:

@@ -20,6 +20,8 @@ from fibclifford.fibquat import (
     growth_discriminant,
     horadam_growth_discriminant,
     horadam_invertibility_threshold,
+    horadam_norm_closed_form,
+    horadam_quaternion,
     invertibility_threshold,
 )
 from fibclifford.quat import AlgebraParams
@@ -102,10 +104,16 @@ SEEDED_ENTRY_POINTS = {
     "classify": lambda p, q: clifford.classify(H, p, q),
     "horadam_invertibility_threshold": lambda p, q: horadam_invertibility_threshold(H, p, q),
     "horadam_growth_discriminant": lambda p, q: horadam_growth_discriminant(H, p, q),
+    "horadam_quaternion": lambda p, q: horadam_quaternion(3, p, q, H),
+    "horadam_norm_closed_form": lambda p, q: horadam_norm_closed_form(3, H, p, q),
 }
 
 
-@pytest.mark.parametrize("seeds", [(1.0, 2), (1, Fraction(2)), ("1", 2), (3, 2.5)])
+# bool is an int subclass, but a seed of True would reach the JSON as true
+@pytest.mark.parametrize(
+    "seeds",
+    [(1.0, 2), (1, Fraction(2)), ("1", 2), (3, 2.5), (True, False), (1, True), (False, 2)],
+)
 @pytest.mark.parametrize("name", SEEDED_ENTRY_POINTS)
 def test_non_integer_seeds_raise_type_error(name, seeds):
     with pytest.raises(TypeError) as caught:

@@ -192,7 +192,7 @@ def test_clifford_table_json_is_json_dumps_of_the_whole_table(capsys, squares):
     table = []
     for i in range(form.dim):
         row = [blade_product(i, j, form) for j in range(form.dim)]
-        table.append([_signed_sum([(c, names[m])]) for c, m in row])
+        table.append([_signed_sum([(*c.as_integer_ratio(), names[m])]) for c, m in row])
     assert code == 0
     assert out == json.dumps({"squares": squares, "blades": names, "table": table}) + "\n"
 

@@ -82,6 +82,8 @@ def test_horadam_is_fibonacci_combination(n, p, q):
 def test_horadam_rejects_non_integer_seeds():
     with pytest.raises(TypeError):
         HoradamParams(Fraction(1, 2), 1)
+    with pytest.raises(TypeError):
+        HoradamParams(True, 1)
     with pytest.raises(ValueError):
         horadam(-1, HoradamParams(1, 2))
 

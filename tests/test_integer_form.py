@@ -1,10 +1,12 @@
 """The integer form of algebra elements: numerators ``nums`` over one
-denominator ``den > 0`` with ``gcd(den, *nums) == 1``.
+denominator ``den > 0`` with ``gcd(den, *nums) == 1``; and of ``QSqrt5``,
+``(x + y*sqrt(5))/den`` with ``gcd(x, y, den) == 1``.
 
 Every operation is checked three ways against ``Fraction`` arithmetic on the
-coefficient tuples: its result is in that canonical form, its ``coeffs``
-equal the ``Fraction`` reference, and it equals, with the same hash, the
-element the public constructor builds from the reference coefficients.
+coefficient tuples (for ``QSqrt5``, on the pairs of rational parts): its
+result is in that canonical form, its ``coeffs`` (``a`` and ``b``) equal the
+``Fraction`` reference, and it equals, with the same hash, the value the
+public constructor builds from the reference coefficients.
 """
 
 from __future__ import annotations
@@ -14,9 +16,22 @@ import random
 from fractions import Fraction
 from math import gcd, prod
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
 from fibclifford.clifford import CliffordElement, DiagonalForm
+from fibclifford.exactnum import ALPHA, QSqrt5
 from fibclifford.quat import AlgebraParams, Quaternion, scale_isomorphism
-from oracles import clifford_product_coeffs
+from oracles import (
+    clifford_product_coeffs,
+    pair_add,
+    pair_inverse,
+    pair_mul,
+    pair_pow,
+    pair_sign,
+    pair_sub,
+)
 
 #: Products whose operands have more pairs of nonzero blades than this are
 #: not multiplied out in ``Fraction``s; their results are still checked for
@@ -221,3 +236,69 @@ def test_products_through_a_warm_memo_equal_products_on_a_fresh_algebra():
         check(tuple(square() for _ in range(rng.randint(0, 8))))
     for rank in (11, 12):
         check(tuple(square() for _ in range(rank)))
+
+
+# -- Q(sqrt 5) ---------------------------------------------------------------
+
+rationals = st.one_of(
+    st.fractions(min_value=-60, max_value=60, max_denominator=60),
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.builds(Fraction, st.integers(-(10**20), 10**20), st.integers(1, 10**12)),
+)
+
+
+def assert_qsqrt5_holds(value, pair) -> None:
+    """``value`` is canonical, holds exactly the rational parts ``pair``, and
+    equals (with the same hash) the ``QSqrt5`` built from them."""
+    x, y, den = value.x, value.y, value.den
+    assert type(x) is type(y) is type(den) is int and den > 0, value
+    assert gcd(x, y, den) == 1, value
+    assert (value.a, value.b) == pair and type(value.a) is type(value.b) is Fraction
+    rebuilt = QSqrt5(*pair)
+    assert value == rebuilt and hash(value) == hash(rebuilt)
+
+
+@given(rationals, rationals, rationals, rationals, rationals, st.integers(-5, 5))
+def test_every_qsqrt5_operation_keeps_the_integer_form_and_matches_fraction_pairs(
+    a, b, c, d, r, n
+):
+    u, v = (Fraction(a), Fraction(b)), (Fraction(c), Fraction(d))
+    x, y = QSqrt5(a, b), QSqrt5(c, d)
+    rational = (Fraction(r), Fraction(0))
+    assert_qsqrt5_holds(x, u)
+    assert_qsqrt5_holds(QSqrt5.from_rat(r), rational)
+    assert_qsqrt5_holds(x + y, pair_add(u, v))
+    assert_qsqrt5_holds(x + r, pair_add(u, rational))
+    assert_qsqrt5_holds(r + x, pair_add(u, rational))
+    assert_qsqrt5_holds(x - y, pair_sub(u, v))
+    assert_qsqrt5_holds(r - x, pair_sub(rational, u))
+    assert_qsqrt5_holds(-x, pair_sub((Fraction(0), Fraction(0)), u))
+    assert_qsqrt5_holds(x * y, pair_mul(u, v))
+    assert_qsqrt5_holds(r * x, pair_mul(u, rational))
+    assert_qsqrt5_holds(x.conjugate(), (u[0], -u[1]))
+    assert_qsqrt5_holds(abs(x), u if pair_sign(u) >= 0 else pair_sub((0, 0), u))
+    assert x.sign() == pair_sign(u)
+    assert (x < y) == (pair_sign(pair_sub(u, v)) < 0)
+    assert (x <= r) == (pair_sign(pair_sub(u, rational)) <= 0)
+    if any(v):
+        assert_qsqrt5_holds(y.inverse(), pair_inverse(v))
+        assert_qsqrt5_holds(x / y, pair_mul(u, pair_inverse(v)))
+        assert_qsqrt5_holds(r / y, pair_mul(rational, pair_inverse(v)))
+    if r:
+        assert_qsqrt5_holds(x / r, pair_mul(u, pair_inverse(rational)))
+    if any(u) or n >= 0:
+        assert_qsqrt5_holds(x**n, pair_pow(u, n))
+
+
+def test_qsqrt5_fields_repr_and_replace():
+    """The integer form is what ``fields`` and ``repr`` show; ``replace`` would
+    pass those fields to a constructor that takes the rational parts."""
+    assert [f.name for f in dataclasses.fields(QSqrt5)] == ["x", "y", "den"]
+    assert repr(ALPHA) == "QSqrt5(x=1, y=1, den=2)"
+    value = QSqrt5(Fraction(-3, 4), Fraction(5, 6))
+    assert repr(value) == "QSqrt5(x=-9, y=10, den=12)"
+    assert (value.x, value.y, value.den) == (-9, 10, 12)
+    assert repr(QSqrt5(Fraction(4, 6), 0)) == "QSqrt5(x=2, y=0, den=3)"
+    assert repr(QSqrt5(0, 0)) == "QSqrt5(x=0, y=0, den=1)"
+    with pytest.raises(TypeError):
+        dataclasses.replace(value, x=1)
