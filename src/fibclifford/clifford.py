@@ -182,6 +182,9 @@ class CliffordElement(_Element):
         return _signed_sum((n, den, blade_name(mask)) for mask, n in enumerate(self.nums) if n)
 
 
+CliffordElement._of = staticmethod(_builder(CliffordElement))
+
+
 class CliffordClass(Enum):
     SPLIT = "Split"
     DIVISION = "Division"

@@ -23,13 +23,18 @@ by 3 + sqrt 5 and the bounded side by 2 (that is, by
 alpha^2 = (3 + sqrt 5)/2), and the sign of x + y*sqrt 5 comes from
 comparing x^2 with 5*y^2.  That comparison is monotone in the step count,
 so the horizon is found by an unbounded search over the squares
-(3 + sqrt 5)^(2^k), in O(log N) products.  The direct checks below the
-horizon take the sign of v(m) = d1*d2*n(H(m; p, q)), an integer of the same
-sign as the norm, which obeys v(m+3) = 2v(m+2) + 2v(m+1) - v(m): three
-values from the seeds and the next four terms, then three additions per
-index.  E is never zero for rational beta_i (see :func:`_certify`).  The
-closed forms stay public as the paper's identities; the test suite checks
-them against the direct norms.
+(3 + sqrt 5)^(2^k), in O(log N) products.  Below the horizon the signs of
+v(m) = d1*d2*n(H(m; p, q)), an integer of the same sign as the norm, are
+settled by two proofs on the norm's shape, a cosh (or sinh) in m plus a
+bounded alternating term (see :func:`_certify`).  If N(S+) > S0^2, AM-GM
+puts every norm on the side of the limit, so n' = 0 and nothing is walked.
+Otherwise v is walked by v(m+3) = 2v(m+2) + 2v(m+1) - v(m), three values
+from the seeds and the next four terms and then three additions per index,
+until v(m) > 0, v(m+1) > 0 and v(m+2) >= v(m), which proves every later
+index has the limit sign, or at most to the horizon.  E is never zero for
+rational beta_i (see :func:`_certify`).  The closed forms stay public as
+the paper's identities; the test suite checks them against the direct
+norms.
 
 The other quantities are read off the same integers: E and the seeded
 discriminant E' = (p + q*alpha)^2 * E / 5 divide the growth integers and
@@ -38,8 +43,8 @@ norms n(F(n)), n(F(n+1)) of the coordinate space divide the direct check's
 integer d1*d2*n(.) by d1*d2.  ``classify`` evaluates the growth integers
 once and hands them to both certificates, evaluates the seeded pair
 (:func:`_seeded_growth`) once for E' and the seeded certificate, and reads
-its form at n' off the two integers d1*d2*n(.) that the plain certificate's
-walk hands back.
+its form at n' off the two integers d1*d2*n(.) that the plain certificate
+hands back.
 
 Seeds are checked once, at the public entry points that take them
 (``horadam_invertibility_threshold``, ``horadam_growth_discriminant``,
@@ -100,10 +105,13 @@ class ThresholdCertificate:
     """Certified minimal index from which norm signs stay equal to limit_sign.
 
     ``horizon`` is the least index satisfying the domination inequality that
-    guarantees no sign change past it, and every index in [0, horizon] was
-    checked by direct evaluation: the integer d1*d2*n(.), with denominators
-    cleared, walked by its own three-term integer recurrence.  Minimality
-    means n_prime = 0 or the sign at n_prime - 1 differs (possibly zero).
+    guarantees no sign change past it.  Below it the signs are proved, not
+    all evaluated: n_prime = 0 with no index evaluated when N(S+) > S0^2
+    (AM-GM), and otherwise the integer d1*d2*n(.), with denominators
+    cleared, is walked by its own three-term integer recurrence from index 0
+    until the stop rule proves that every later index has the limit sign,
+    and at most to the horizon (see ``_certify``).  Minimality means
+    n_prime = 0 or the sign at n_prime - 1 differs (possibly zero).
     """
 
     n_prime: int
@@ -291,8 +299,8 @@ def _certify(
     ``growth`` of :func:`_growth_integers` for ``params`` and the pair
     (gx, gy) of :func:`_seeded_growth` for the checked integer seeds, which
     it evaluates unless the caller already has it.  Also returns
-    (|v(n')|, |v(n'+1)|) = d1*d2*(|n(H(n'))|, |n(H(n'+1))|) from the walk
-    below; both norms are nonzero and of the limit sign.
+    (|v(n')|, |v(n'+1)|) = d1*d2*(|n(H(n'))|, |n(H(n'+1))|); both norms are
+    nonzero and of the limit sign.
 
     With A = p + q*alpha, B = p + q*beta, cross = p^2 + pq - q^2 and
     |beta^(2m-2)| <= alpha^2 for m >= 0, the sign of n(H(m)) is frozen from
@@ -325,14 +333,44 @@ def _certify(
     k = bits.bit_length() can only come from a faulty sign test, and raises
     instead of running on.
 
-    Indices 0..N are then checked one by one on v(m) = d1*d2*n(H(m)).  Each
-    h(m)^2 lies in the span of alpha^(2m), beta^(2m) and (-1)^m, powers of
-    the roots of (x^2 - 3x + 1)(x + 1) = x^3 - 2x^2 - 2x + 1, and so does
-    v(m), a fixed combination of four shifts of h^2; hence
+    Below N the signs of v(m) = L*d1*d2*n(H(m)), L the limit sign, follow
+    from the norm's shape.  With beta^2 = alpha^-2 the closed form reads
+
+        5*v(m)/(d1*d2) = P*alpha^(2m) + Q*alpha^(-2m) + (-1)^m * R,
+
+    P = L*A^2*S+*alpha^-2 > 0, Q = L*B^2*S-*alpha^2, R = 2L*S0*cross, and
+    P*Q = cross^2 * N(S+) with N(S+) = S+ * S-.  For m = 2j + r that is
+    P_r*a^j + Q_r*a^-j + R_r with a = alpha^4: for N(S+) > 0 a cosh in m,
+    for N(S+) < 0 a sinh, centred at one m* for both parities, plus a
+    bounded term of alternating sign.  Two rules follow.
+
+    AM-GM: if N(S+) > S0^2, then Q > 0 and
+    P*alpha^(2m) + Q*alpha^(-2m) >= 2*sqrt(P*Q) = 2|cross|*sqrt(N(S+)) > |R|,
+    as cross != 0 for seeds other than (0, 0) (x^2 + x - 1 has no rational
+    root).  So every norm has the limit sign, n' = 0, and v(0), v(1) are
+    the norms returned, with no walk.  On the growth integers the test is
+    x^2 - 5y^2 > 4z^2, both sides being 4*(d1*d2)^2 times N(S+) and S0^2.
+    The inequality must be strict: H(-1/2, -1/2) has N(S+) = S0^2 and
+    n(F(0)) = 0.
+
+    Stop rule: D(m) = v(m+2) - v(m) drops the alternating term, and
+    5*D(m)/(d1*d2) = (alpha^4 - 1)*(P*alpha^(2m) - Q*alpha^(-2m-4)), which
+    increases with m if Q > 0 and is positive everywhere if Q <= 0.  So
+    D(m) >= 0 gives D(m') >= 0 for every m' >= m, of both parities, and an
+    index m with v(m) > 0, v(m+1) > 0 and v(m+2) >= v(m) has every index
+    from m on of the limit sign.
+
+    The walk takes v(m) from index 0 until that rule holds, and at most to
+    N, where the domination inequality takes over.  Each h(m)^2 lies in
+    the span of alpha^(2m), beta^(2m) and (-1)^m, powers of the roots of
+    (x^2 - 3x + 1)(x + 1) = x^3 - 2x^2 - 2x + 1, and so does v(m), a fixed
+    combination of four shifts of h^2; hence
     v(m+3) = 2v(m+2) + 2v(m+1) - v(m).  v(0), v(1) and v(2) come from
     (h(0), ..., h(5)): the seeds h(0) = p, h(1) = q and four additions, with
     no doubling pass for index 0.  Each further index costs three additions.
-    The walk keeps v(n') and v(n'+1) each time it moves n'.
+    The walk keeps v(n') and v(n'+1) each time it moves n'.  Next to the
+    zero of E the stop comes at n', about N/2, on the side where S+ < 0;
+    on the other side N(S+) > S0^2 = 0 when b1 = 1, and nothing is walked.
 
     The limit sign is sign(A^2 S+).  S+ = u + v*alpha with rational u, v
     vanishes only if u = v = 0, which forces b2^2 + 7*b2 + 1 = 0, a
@@ -348,7 +386,9 @@ def _certify(
         )
     # the conjugate gx - gy*sqrt5 is (2B)^2 * (2 d1 d2 S-), the B side
     bounded_sign = _sign_z5(gx, -gy)
-    (c0, c1, c2, c3), _, _, z = growth
+    (c0, c1, c2, c3), x, y, z = growth
+    # N(S+) > S0^2 on the scale 4*(d1*d2)^2: every norm has the limit sign (AM-GM)
+    settled = x * x - 5 * y * y > 4 * z * z
     cross = p * p + p * q - q * q
     # times 3 - sqrt5 on the growing side and 3 + sqrt5 on the bounded side
     gx, gy, bx, by = (
@@ -378,9 +418,9 @@ def _certify(
                     raise AssertionError(f"horizon search passed its bound of {bits} indices")
                 powers.append((px * px + 5 * py * py, 2 * px * py))
         horizon = n + 1
-    # direct checks: v(m) = d1*d2*n(H(m)), signed so that the limit is positive,
-    # from the terms (h(0), ..., h(5)) of the sequence seeded by h(0) = p and
-    # h(1) = q, and then by v(m+3) = 2v(m+2) + 2v(m+1) - v(m)
+    # v(m) = d1*d2*n(H(m)), signed so that the limit is positive, from the
+    # terms (h(0), ..., h(5)) of the sequence seeded by h(0) = p and h(1) = q,
+    # and then by v(m+3) = 2v(m+2) + 2v(m+1) - v(m)
     h2 = p + q
     h3 = q + h2
     h4 = h2 + h3
@@ -392,9 +432,13 @@ def _certify(
     if limit_sign < 0:
         v0, v1, v2 = -v0, -v1, -v2
     n_prime, norms = 0, (v0, v1)
+    if settled:
+        return _certificate(0, horizon, limit_sign), norms
     for m in range(horizon + 1):
         if v0 <= 0:
             n_prime, norms = m + 1, (v1, v2)
+        elif v1 > 0 and v2 >= v0:
+            break  # the stop rule: every index from m on has the limit sign
         t = v1 + v2
         v0, v1, v2 = v1, v2, t + t - v0
     return _certificate(n_prime, horizon, limit_sign), norms
@@ -406,8 +450,9 @@ def invertibility_threshold(params: AlgebraParams) -> ThresholdCertificate:
     F(n) = H(n; 0, 1), so this is the seeded certificate at (p, q) = (0, 1):
     the horizon N satisfies |S+| * alpha^(2N) > |S-| + 2|S0|, which bounds
     the decaying and oscillating terms for every m >= N (|beta^(2m)| <= 1);
-    indices up to the horizon are then checked one by one.  E is never zero
-    for rational parameters (see :func:`_certify`).
+    below it n' = 0 by AM-GM when N(S+) > S0^2, and otherwise the norms are
+    walked from index 0 until a stop rule proves the rest (see
+    :func:`_certify`).  E is never zero for rational parameters.
     """
     return _certify(params, _growth_integers(params), 0, 1)[0]
 

@@ -46,7 +46,7 @@ from .errors import (
     NotInvertibleError,
     ZeroScaleError,
 )
-from .exactnum import Rat, _signed_sum, _to_rat, format_rat
+from .exactnum import Rat, _builder, _signed_sum, _to_rat, format_rat
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,9 +108,11 @@ class _Element:
     differences take one lcm and one gcd, negation only flips signs, and
     products come from :func:`_product` and take one gcd.
 
-    A subclass names its algebra's field in ``_ALGEBRA`` and supplies
-    ``_require_same``, which rejects an element of another algebra.  Its own
-    ``__mul__`` passes its algebra to :meth:`_times`:
+    A subclass names its algebra's field in ``_ALGEBRA``, sets ``_of`` to its
+    ``exactnum._builder`` constructor (algebra, nums, den), which fills the
+    three slots of an element of the canonical form (nums, den) as it is,
+    and supplies ``_require_same``, which rejects an element of another
+    algebra.  Its own ``__mul__`` passes its algebra to :meth:`_times`:
     ``perfbench/tracing.py`` counts the products of each class from the
     methods in that class's own body."""
 
@@ -121,13 +123,6 @@ class _Element:
         object.__setattr__(self, self._ALGEBRA, algebra)
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "den", den)
-
-    @classmethod
-    def _of(cls, algebra, nums: tuple[int, ...], den: int):
-        """The element over ``algebra`` of the canonical form (nums, den), as is."""
-        new = object.__new__(cls)
-        new._fill(algebra, nums, den)
-        return new
 
     def _like(self, nums: tuple[int, ...], den: int):
         """The element of this algebra of the canonical form (nums, den), as is."""
@@ -274,6 +269,9 @@ class Quaternion(_Element):
     def __str__(self) -> str:
         den, names = self.den, ("1", "e2", "e3", "e4")
         return _signed_sum((n, den, name) for n, name in zip(self.nums, names))
+
+
+Quaternion._of = staticmethod(_builder(Quaternion))
 
 
 def _norm_coefficients(params: AlgebraParams) -> tuple[int, int, int, int]:

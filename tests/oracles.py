@@ -176,6 +176,30 @@ def reference_certificate(
     return n_prime, horizon, limit_sign
 
 
+def walked_threshold(
+    b1: Fraction, b2: Fraction, p: int, q: int, horizon: int, limit_sign: int
+) -> tuple[int, tuple[int, int]]:
+    """n' and the pair (v(n'), v(n'+1)) by the full walk over 0..horizon:
+    v(m) = limit_sign * d1*d2 * n(H(m; p, q)), each evaluated on its own
+    window of the seeded sequence, and n' is one past the last index there
+    with v(m) <= 0.  No index is skipped: the reference for the certifier's
+    AM-GM shortcut and stop rule."""
+    (n1, d1), (n2, d2) = b1.as_integer_ratio(), b2.as_integer_ratio()
+    c = (d1 * d2, n1 * d2, n2 * d1, n1 * n2)
+    h = [p, q]
+    while len(h) < horizon + 5:
+        h.append(h[-1] + h[-2])
+    v = [
+        limit_sign * sum(ck * hk * hk for ck, hk in zip(c, h[m : m + 4]))
+        for m in range(horizon + 2)
+    ]
+    n_prime = 0
+    for m in range(horizon + 1):
+        if v[m] <= 0:
+            n_prime = m + 1
+    return n_prime, (v[n_prime], v[n_prime + 1])
+
+
 def blade_product_rewrite(
     mask_a: int, mask_b: int, squares: tuple[Fraction, ...]
 ) -> tuple[Fraction, int]:

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from functools import cache
+from math import isqrt, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +38,7 @@ from oracles import (
     reference_certificate,
     seeded_discriminant_reference,
     sign_by_interval,
+    walked_threshold,
 )
 from test_threshold_ladder import ladder_params
 
@@ -358,6 +362,133 @@ def test_cross_term_weight_decides_these_horizons(b1, b2, seeds, horizon):
     cert = horadam_invertibility_threshold(AlgebraParams(b1, b2), *seeds)
     assert cert.horizon == horizon
     assert (cert.n_prime, cert.horizon, cert.limit_sign) == reference_certificate(b1, b2, *seeds)
+
+
+# -- where the walk stops --------------------------------------------------------
+
+
+def ladder_near_zero(b1: Fraction, k: int, upper: bool) -> AlgebraParams:
+    """H(b1, b2) with b2 next to the zero of E for this b1, rounded down or up
+    at denominator 10^k.  S+ is linear in b2, so the zero is
+    b2* = -((1 + b1) + b1*alpha)/((2 + 5*b1) + (3 + 8*b1)*alpha) in Q(sqrt 5);
+    ``ladder_params(k, upper)`` is the case b1 = 1."""
+    zero = -(ALPHA * b1 + (1 + b1)) / (ALPHA * (3 + 8 * b1) + (2 + 5 * b1))
+    a, b = zero.a * 10**k, zero.b * 10**k
+    d = lcm(a.denominator, b.denominator)
+    x, y = int(a * d), int(b * d)
+    r = isqrt(5 * y * y)  # floor(|y| * sqrt 5), as 5y^2 is no square for y != 0
+    return AlgebraParams(b1, Fraction((x + (r if y >= 0 else -r - 1)) // d + upper, 10**k))
+
+
+def _exact_zero(rng: random.Random) -> tuple[AlgebraParams, tuple[int, int]] | None:
+    """An algebra whose norm at some m <= 6 is exactly 0 for small seeds:
+    n(H(m)) = h0^2 + b1*h1^2 + b2*(h2^2 + b1*h3^2) on the window at m,
+    solved for b2."""
+    b1 = Fraction(rng.choice((-1, 1)) * rng.randint(1, 12), rng.randint(1, 12))
+    seeds, m = (rng.randint(-4, 4), rng.randint(-4, 4)), rng.randint(0, 6)
+    h0, h1, h2, h3 = (horadam_naive(m + j, *seeds) for j in range(4))
+    weight = h2 * h2 + b1 * h3 * h3
+    if seeds == (0, 0) or weight == 0 or h0 * h0 + b1 * h1 * h1 == 0:
+        return None
+    return AlgebraParams(b1, -(h0 * h0 + b1 * h1 * h1) / weight), seeds
+
+
+@cache
+def walk_cases() -> tuple[tuple[AlgebraParams, tuple[int, int]], ...]:
+    """3,401 (params, seeds): random algebras with 1- to 30-digit parts,
+    ladders next to E = 0 at five values of b1 (S0 = 0 only at b1 = 1),
+    algebras with an exact zero norm, and HALF, where N(S+) = S0^2 exactly
+    and n' = 1.  Seeds are (0, 1), one digit or 20 digits."""
+    rng = random.Random(27)
+
+    def rational(digits: int) -> Fraction:
+        top = 10**digits
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, top), rng.randint(1, top))
+
+    def seeds() -> tuple[int, int]:
+        bound = rng.choice((0, 9, 9, 10**20))
+        pair = (0, 1) if bound == 0 else (0, 0)
+        while pair == (0, 0):
+            pair = rng.randint(-bound, bound), rng.randint(-bound, bound)
+        return pair
+
+    cases = [
+        (AlgebraParams(rational(digits), rational(digits)), seeds())
+        for digits in rng.choices((1, 2, 3, 6, 30), k=1600)
+    ]
+    for b1 in (Fraction(1), Fraction(-1, 3), Fraction(2), Fraction(-5, 2), Fraction(7, 3)):
+        for k in range(1, 31):
+            for upper in (False, True):
+                params = ladder_near_zero(b1, k, upper)
+                cases += [(params, (0, 1)), (params, seeds()), (params, seeds()), (params, seeds())]
+    while len(cases) < 3400:
+        cases += filter(None, [_exact_zero(rng)])
+    return (*cases, (HALF, (0, 1)))
+
+
+def assert_certificates_match_the_full_walk() -> None:
+    """n' and the two norms ``classify`` reads, from ``_certify``, against the
+    full walk over 0..horizon for each of :func:`walk_cases`."""
+    for params, seeds in walk_cases():
+        cert, norms = fibquat._certify(params, fibquat._growth_integers(params), *seeds)
+        walked = walked_threshold(params.beta1, params.beta2, *seeds, cert.horizon, cert.limit_sign)
+        assert (cert.n_prime, norms) == walked, (params, seeds)
+
+
+def test_certificates_match_the_full_walk():
+    cases = walk_cases()
+    assert len(cases) >= 3000
+    assert ladder_near_zero(Fraction(1), 7, True) == ladder_params(7, True)
+    assert_certificates_match_the_full_walk()
+    # the walk takes the horizon and the limit sign from the certificate:
+    # every 25th case checks them against the closed-form bound
+    for params, seeds in cases[::25]:
+        cert = horadam_invertibility_threshold(params, *seeds)
+        reference = reference_certificate(params.beta1, params.beta2, *seeds)
+        assert (cert.n_prime, cert.horizon, cert.limit_sign) == reference, (params, seeds)
+
+
+# ladder k -> indices the walk visits, below and above the zero of E: n' + 1
+# below, where the stop rule fires at n', and none above, where N(S+) > S0^2
+# (S0 = 0 at beta1 = 1) settles n' = 0 before the walk
+WALKED_INDICES = {2: (3, 0), 25: (32, 0), 3999: (4784, 0)}
+# (b1, b2, seeds, indices visited) where a stricter rule walks further:
+# S0^2 < N(S+) <= (5/4) S0^2; the stop at v(m+1) = 1; the stop at v(m+2) = v(m)
+WALK_EDGES = (
+    (Fraction(-5, 2), Fraction(-4, 3), (0, 1), 0),
+    (Fraction(-6), Fraction(1, 4), (1, -1), 1),
+    (Fraction(-4, 3), Fraction(-1, 3), (1, -1), 1),
+)
+
+
+def indices_walked(monkeypatch, params: AlgebraParams, seeds: tuple[int, int]) -> int:
+    """The indices ``_certify``'s walk visits for one threshold, counted off
+    the ``range`` it draws them from, in the namespace ``_certify`` reads, so
+    a recompiled ``_certify`` is counted too."""
+    walked = 0
+
+    def counted(*bounds: int):
+        nonlocal walked
+        for m in range(*bounds):
+            walked += 1
+            yield m
+
+    with monkeypatch.context() as patch:
+        patch.setitem(fibquat._certify.__globals__, "range", counted)
+        horadam_invertibility_threshold(params, *seeds)
+    return walked
+
+
+def assert_walk_lengths_pinned(monkeypatch) -> None:
+    for k, walked in WALKED_INDICES.items():
+        params = ladder_params(k, False), ladder_params(k, True)
+        assert tuple(indices_walked(monkeypatch, side, (0, 1)) for side in params) == walked, k
+    for b1, b2, seeds, walked in WALK_EDGES:
+        assert indices_walked(monkeypatch, AlgebraParams(b1, b2), seeds) == walked, (b1, b2)
+
+
+def test_walk_visits_its_pinned_number_of_indices(monkeypatch):
+    assert_walk_lengths_pinned(monkeypatch)
 
 
 # ladder k -> sign tests per certificate, on each side of E = 0: the limit and

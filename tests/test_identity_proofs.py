@@ -43,10 +43,12 @@ from oracles import (
 from test_classify_report import check_reports
 from test_clifford import assert_product_matches_reference, seeded_dense_pair, small_dense_pair
 from test_fibquat import (
+    assert_certificates_match_the_full_walk,
     assert_form_matches_reference,
     assert_horizon_edges_match_reference,
     assert_search_steps_pinned,
     assert_seeded_discriminant_matches_reference,
+    assert_walk_lengths_pinned,
 )
 from test_integer_form import check_integer_form
 from test_quat import assert_witness_matches_reference
@@ -463,6 +465,40 @@ def test_broken_norm_walk_fails_the_reference_check(monkeypatch):
     _mutate(monkeypatch, fibquat, "_certify", "- v0", "+ v0")
     with pytest.raises(AssertionError):
         assert_horizon_edges_match_reference()
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("> 4 * z * z", "> z * z"),
+        ("> 4 * z * z", ">= 4 * z * z"),
+        (" and v2 >= v0", ""),
+        ("v1 > 0 and", "v1 >= 0 and"),
+    ],
+    ids=["am-gm-without-its-factor", "am-gm-at-equality", "stop-while-falling", "stop-at-a-zero"],
+)
+def test_broken_stop_rule_fails_the_walk_reference(monkeypatch, old, new):
+    """Each fault ends the walk, or skips it, where a later norm can still
+    lack the limit sign.  AM-GM at equality fails only on HALF, where
+    N(S+) = S0^2 and n(F(0)) = 0; a stop at v(m+1) = 0 fails only on the
+    algebras with an exact zero norm."""
+    _mutate(monkeypatch, fibquat, "_certify", old, new)
+    with pytest.raises(AssertionError):
+        assert_certificates_match_the_full_walk()
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [("> 4 * z * z", "> 5 * z * z"), ("v1 > 0 and", "v1 > 1 and"), ("v2 >= v0", "v2 > v0")],
+    ids=["am-gm-past-its-bound", "stop-past-v-equal-1", "stop-past-equal-norms"],
+)
+def test_strict_stop_rule_fails_the_walk_length(monkeypatch, old, new):
+    """Each fault makes a sufficient condition stricter, so it keeps every
+    certificate and only walks further; the pinned walk lengths catch it."""
+    _mutate(monkeypatch, fibquat, "_certify", old, new)
+    assert_certificates_match_the_full_walk()
+    with pytest.raises(AssertionError):
+        assert_walk_lengths_pinned(monkeypatch)
 
 
 @pytest.mark.parametrize(
