@@ -17,6 +17,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from itertools import chain
 
 from .clifford import (
     ClassificationReport,
@@ -238,21 +239,27 @@ def _cmd_quat_norm(ns: argparse.Namespace) -> int:
 def _cmd_clifford_table(ns: argparse.Namespace) -> int:
     form = DiagonalForm(ns.squares)
     names = [blade_name(m) for m in range(form.dim)]
-    products = ((blade_product(i, j, form) for j in range(form.dim)) for i in range(form.dim))
-    rows = ([_signed_sum([(*c.as_integer_ratio(), names[m])]) for c, m in row] for row in products)
+
+    def rows():
+        """The table's rows of cells, one at a time."""
+        for i in range(form.dim):
+            products = (blade_product(i, j, form) for j in range(form.dim))
+            yield [_signed_sum([(*c.as_integer_ratio(), names[m])]) for c, m in products]
+
     if ns.json:
         # the bytes of json.dumps of the whole table, one row at a time
         head = json.dumps({"squares": [format_rat(s) for s in form.squares], "blades": names})
         sep = head[:-1] + ', "table": ['
-        for row in rows:
+        for row in rows():
             print(sep + json.dumps(row), end="")
             sep = ", "
         print("]}")
         return 0
-    table = list(rows)
-    width = max(len(s) for row in [names] + table for s in row) + 2
+    # every cell is padded to the longest, so a first pass over the rows
+    # finds that width and a second prints them, instead of holding the table
+    width = max(len(s) for row in chain([names], rows()) for s in row) + 2
     print("".join(s.ljust(width) for s in ["*"] + names).rstrip())
-    for name, row in zip(names, table):
+    for name, row in zip(names, rows()):
         print("".join(s.ljust(width) for s in [name] + row).rstrip())
     return 0
 

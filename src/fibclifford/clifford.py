@@ -25,7 +25,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import DegenerateFormError, MixedFormsError
-from .exactnum import QSqrt5, Rat, _builder, _signed_sum, _to_rat, format_rat
+from .exactnum import QSqrt5, Rat, _builder, _integer_form, _signed_sum, _to_rat, format_rat
 from .fib import _check_seeds
 from .fibquat import (
     ThresholdCertificate,
@@ -36,7 +36,7 @@ from .fibquat import (
     _growth_integers,
     _seeded_growth,
 )
-from .quat import AlgebraParams, _Element, _integer_form, _reorder_parity, is_division_algebra
+from .quat import AlgebraParams, _Element, _reorder_parity, is_division_algebra
 
 MAX_GENERATORS = 16
 

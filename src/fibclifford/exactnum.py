@@ -2,15 +2,26 @@
 
 ``Rat`` is an alias for :class:`fractions.Fraction`, which already keeps the
 canonical form used throughout this package (reduced, positive denominator,
-structural equality).  :class:`QSqrt5` represents the real number
-``(x + y*sqrt(5))/den`` by integers x, y and den > 0 with
-``gcd(x, y, den) == 1``; its rational parts ``a = x/den`` and ``b = y/den``
-are derived.  Because sqrt(5) is irrational the representation is unique,
-so equality is componentwise, and a rational compares equal to (and hashes
-like) the element with a zero sqrt(5) part.  Arithmetic stays on the
-integers and brings each result to lowest terms by one gcd.  The sign of
-any element, and so the order, is decidable on integers, by comparing x**2
-with 5*y**2; no floating point appears anywhere.
+structural equality).
+
+Every exact value the package computes with, a :class:`QSqrt5` and an
+element of ``quat`` or ``clifford``, is stored in one integer form: integer
+numerators over one denominator den > 0, in lowest terms, so
+``gcd(den, *nums) == 1``.  That form is canonical, so structural equality
+is value equality.  :func:`_integer_form` is the one routine that brings
+ints and ``Fraction``s to it; arithmetic then stays on the integers and
+brings each result to lowest terms by one gcd.
+
+:class:`QSqrt5` represents the real number ``(x + y*sqrt(5))/den`` by the
+numerators x, y over den; its rational parts ``a = x/den`` and
+``b = y/den`` are derived.  Because sqrt(5) is irrational the
+representation is unique, so equality is componentwise, and a rational
+compares equal to (and hashes like) the element with a zero sqrt(5) part.
+Its operators are forward and reflected pairs from :func:`_operators`, over
+one coercion, :func:`_coerce`, and two integer kernels, :func:`_add` and
+:func:`_mul`.  The sign of any element, and so the order, is decidable on
+integers, by comparing x**2 with 5*y**2; no floating point appears
+anywhere.
 """
 
 from __future__ import annotations
@@ -21,6 +32,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import total_ordering
 from math import gcd, lcm
+from operator import itemgetter
 
 from .errors import LiteralTooLongError
 
@@ -70,6 +82,23 @@ def _to_rat(value: Rat | int) -> Rat:
     if isinstance(value, Fraction):
         return value
     raise TypeError(f"expected an int or Fraction, got {type(value).__name__}")
+
+
+def _integer_form(values) -> tuple[tuple[int, ...], int]:
+    """Ints or ``Fraction``s ``values`` as ``(nums, den)``: ``den`` is the lcm
+    of their denominators and ``nums`` holds each value times ``den``.  It
+    is canonical, ``gcd(den, *nums) == 1``: every prime power of the lcm is
+    the full power in some denominator, whose reduced numerator it does not
+    divide.  Anything else is a ``TypeError``, as for :func:`_to_rat`."""
+    values = tuple(values)
+    try:  # all Fractions, the common case, in one pass
+        ratios = list(map(Fraction.as_integer_ratio, values))
+    except AttributeError:
+        ratios = [(v, 1) if type(v) is int else _to_rat(v).as_integer_ratio() for v in values]
+    den = lcm(*set(map(itemgetter(1), ratios)))
+    if den == 1:
+        return tuple(map(itemgetter(0), ratios)), 1
+    return tuple([p * (den // q) for p, q in ratios]), den
 
 
 def _check_digits(s: str) -> None:
@@ -161,6 +190,47 @@ def _sign_z5(x: int, y: int) -> int:
     return sx if x * x > 5 * y * y else -sx
 
 
+def _coerce(value: object) -> QSqrt5 | None:
+    """``value`` as a ``QSqrt5``: a ``QSqrt5`` as it is, an int or ``Fraction``
+    with a zero sqrt(5) part, and anything else as None."""
+    if isinstance(value, QSqrt5):
+        return value
+    if isinstance(value, (int, Fraction)):
+        n, d = value.as_integer_ratio()
+        return _canonical(n, 0, d)
+    return None
+
+
+def _add(u: QSqrt5, v: QSqrt5) -> QSqrt5:
+    """u + v, over the product of the denominators, reduced by one gcd."""
+    d, e = u.den, v.den
+    return _qsqrt5(u.x * e + v.x * d, u.y * e + v.y * d, d * e)
+
+
+def _mul(u: QSqrt5, v: QSqrt5) -> QSqrt5:
+    """u * v, with sqrt(5)^2 = 5, reduced by one gcd."""
+    x, y, s, t = u.x, u.y, v.x, v.y
+    return _qsqrt5(x * s + 5 * y * t, x * t + y * s, u.den * v.den)
+
+
+def _operators(kernel: Callable[[QSqrt5, QSqrt5], QSqrt5]) -> tuple[Callable, Callable]:
+    """``kernel`` as the forward and reflected operator methods of
+    :class:`QSqrt5`, the pattern of ``fractions.Fraction``: each takes its
+    other operand through :func:`_coerce` and returns ``NotImplemented``
+    when that gives None.  A ``QSqrt5`` operand, the common case, skips
+    that call."""
+
+    def forward(self, other):
+        o = other if isinstance(other, QSqrt5) else _coerce(other)
+        return NotImplemented if o is None else kernel(self, o)
+
+    def reflected(self, other):
+        o = other if isinstance(other, QSqrt5) else _coerce(other)
+        return NotImplemented if o is None else kernel(o, self)
+
+    return forward, reflected
+
+
 @total_ordering
 @dataclass(frozen=True, slots=True, eq=False, init=False)
 class QSqrt5:
@@ -174,12 +244,9 @@ class QSqrt5:
     den: int
 
     def __init__(self, a: Rat | int, b: Rat | int) -> None:
-        (p, q), (r, s) = _to_rat(a).as_integer_ratio(), _to_rat(b).as_integer_ratio()
-        # in lowest terms: every prime power of the lcm is the full power in
-        # one part's denominator, whose reduced numerator it does not divide
-        den = lcm(q, s)
-        object.__setattr__(self, "x", p * (den // q))
-        object.__setattr__(self, "y", r * (den // s))
+        (x, y), den = _integer_form((a, b))
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
         object.__setattr__(self, "den", den)
 
     @property
@@ -198,59 +265,13 @@ class QSqrt5:
 
     # -- ring / field operations -------------------------------------------
 
-    @staticmethod
-    def _coerce(other: object) -> QSqrt5 | None:
-        if isinstance(other, QSqrt5):
-            return other
-        if isinstance(other, (int, Fraction)):
-            n, d = other.as_integer_ratio()
-            return _canonical(n, 0, d)
-        return None
-
-    def __add__(self, other: QSqrt5 | Rat | int) -> QSqrt5:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        d, e = self.den, o.den
-        return _qsqrt5(self.x * e + o.x * d, self.y * e + o.y * d, d * e)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: QSqrt5 | Rat | int) -> QSqrt5:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + -o
-
-    def __rsub__(self, other: QSqrt5 | Rat | int) -> QSqrt5:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + -self
+    __add__, __radd__ = _operators(_add)
+    __sub__, __rsub__ = _operators(lambda u, v: _add(u, -v))
+    __mul__, __rmul__ = _operators(_mul)
+    __truediv__, __rtruediv__ = _operators(lambda u, v: _mul(u, v.inverse()))
 
     def __neg__(self) -> QSqrt5:
         return _canonical(-self.x, -self.y, self.den)
-
-    def __mul__(self, other: QSqrt5 | Rat | int) -> QSqrt5:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        x, y, u, v = self.x, self.y, o.x, o.y
-        return _qsqrt5(x * u + 5 * y * v, x * v + y * u, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: QSqrt5 | Rat | int) -> QSqrt5:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other: QSqrt5 | Rat | int) -> QSqrt5:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
 
     def __pow__(self, n: int) -> QSqrt5:
         if not isinstance(n, int):
@@ -298,7 +319,7 @@ class QSqrt5:
         return -self if self.sign() < 0 else self
 
     def __eq__(self, other: object) -> bool:
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return self.x == o.x and self.y == o.y and self.den == o.den
@@ -307,10 +328,10 @@ class QSqrt5:
         return hash((self.x, self.y, self.den)) if self.y else hash(self.a)
 
     def __lt__(self, other: QSqrt5 | Rat | int) -> bool:
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
-        return (self - o).sign() < 0
+        return _add(self, -o).sign() < 0
 
     # -- presentation / wire format ------------------------------------------
 

@@ -50,10 +50,11 @@ Seeds are checked once, at the public entry points that take them
 (``horadam_invertibility_threshold``, ``horadam_growth_discriminant``,
 ``horadam_quaternion``, ``horadam_norm_closed_form`` and ``classify``),
 by ``fib._check_seeds``: every seed that is not an ``int``, or is a
-``bool``, raises ``TypeError`` there, before any arithmetic on it.  The private helpers below take checked seeds and the package's own
-integers as they are.  Every ``QSqrt5`` here is built from its integers
-x, y and den by the trusted ``exactnum._qsqrt5``, which brings them to
-lowest terms by one gcd, and the certificates and growth profiles by
+``bool``, raises ``TypeError`` there, before any arithmetic on it.  The
+private helpers below take checked seeds and the package's own integers
+as they are.  Every ``QSqrt5`` here is built from its integers x, y and
+den by the trusted ``exactnum._qsqrt5``, which brings them to lowest
+terms by one gcd, and the certificates and growth profiles by
 ``exactnum._builder``'s constructors, which run no checks.
 
 Horadam quaternions H(n; p, q) carry coefficients (h(n), ..., h(n+3)) of the

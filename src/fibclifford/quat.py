@@ -9,10 +9,10 @@ e4^2 = -beta1*beta2, and anticommuting imaginary units:
         e3   | e3   -e4       -b2       b2*e2
         e4   | e4   b1*e3     -b2*e2    -b1*b2
 
-Quaternions and ``clifford``'s elements are stored in one integer form:
-a numerator per basis element over one positive denominator, in lowest
-terms (:class:`_Element`).  ``Fraction``s appear only at the edge: the
-constructors take them and ``coeffs`` gives them back.  As
+Quaternions and ``clifford``'s elements are stored in the integer form
+that ``exactnum`` describes and converts to, a numerator per basis element
+over one denominator (:class:`_Element`).  ``Fraction``s appear only at
+the edge: the constructors take them and ``coeffs`` gives them back.  As
 Cl(diag(-beta1, -beta2)) with blades (1, g1, g2, g1g2) = (1, e2, e3, e4), a
 quaternion multiplies on :func:`_product`, the integer blade kernel
 ``clifford`` shares.  That kernel multiplies dense operands with small
@@ -38,7 +38,7 @@ from functools import lru_cache
 from fractions import Fraction
 from itertools import compress, product
 from math import gcd, isqrt, lcm, prod
-from operator import add, itemgetter, mul, neg, sub
+from operator import add, mul, neg, sub
 
 from .errors import (
     DegenerateAlgebraError,
@@ -46,7 +46,7 @@ from .errors import (
     NotInvertibleError,
     ZeroScaleError,
 )
-from .exactnum import Rat, _builder, _signed_sum, _to_rat, format_rat
+from .exactnum import Rat, _builder, _integer_form, _signed_sum, _to_rat, format_rat
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,31 +82,14 @@ class AlgebraParams:
 _ZERO = Fraction(0)
 
 
-def _integer_form(values) -> tuple[tuple[int, ...], int]:
-    """Ints or ``Fraction``s ``values`` as ``(nums, den)``: ``den`` is the lcm
-    of their denominators and ``nums`` holds each value times ``den``.  It
-    is canonical, ``gcd(den, *nums) == 1``: every prime power of the lcm is
-    the full power in some denominator, whose reduced numerator it does not
-    divide.  Anything else is a ``TypeError``, as for :func:`_to_rat`."""
-    values = tuple(values)
-    try:  # all Fractions, the common case, in one pass
-        ratios = list(map(Fraction.as_integer_ratio, values))
-    except AttributeError:
-        ratios = [(v, 1) if type(v) is int else _to_rat(v).as_integer_ratio() for v in values]
-    den = lcm(*set(map(itemgetter(1), ratios)))
-    if den == 1:
-        return tuple(map(itemgetter(0), ratios)), 1
-    return tuple([p * (den // q) for p, q in ratios]), den
-
-
 class _Element:
     """Arithmetic shared by :class:`Quaternion` and ``clifford.CliffordElement``
-    on their integer form: ``nums``, one integer numerator per basis
-    element, over one denominator ``den > 0`` with ``gcd(den, *nums) == 1``.
-    That form is canonical, so the dataclasses' structural ``==`` and hash
-    compare values; ``coeffs`` derives the ``Fraction``s.  Sums and
-    differences take one lcm and one gcd, negation only flips signs, and
-    products come from :func:`_product` and take one gcd.
+    on the integer form of ``exactnum``: ``nums``, one integer numerator per
+    basis element, over one denominator ``den``.  The form is canonical, so
+    the dataclasses' structural ``==`` and hash compare values; ``coeffs``
+    derives the ``Fraction``s.  Sums and differences take one lcm and one
+    gcd, negation only flips signs, and products come from :func:`_product`
+    and take one gcd.
 
     A subclass names its algebra's field in ``_ALGEBRA``, sets ``_of`` to its
     ``exactnum._builder`` constructor (algebra, nums, den), which fills the

@@ -84,10 +84,13 @@ TESTS = {
     "exactnum._decimal": TEXT_TESTS,
     "exactnum._qsqrt5": QSQRT5_TESTS,
     "exactnum._format_ratio": QSQRT5_TESTS,
-    "exactnum.QSqrt5.__add__": QSQRT5_TESTS,
-    "exactnum.QSqrt5.__mul__": QSQRT5_TESTS,
+    "exactnum._coerce": QSQRT5_TESTS,
+    "exactnum._add": QSQRT5_TESTS,
+    "exactnum._mul": QSQRT5_TESTS,
+    "exactnum._operators": QSQRT5_TESTS,
     "exactnum.QSqrt5.inverse": QSQRT5_TESTS,
     "exactnum.parse_rat": TEXT_TESTS,
+    "exactnum._integer_form": ELEMENT_TESTS,
     "cli._normalize_argv": ["tests/test_cli.py"],
     "fib._window": ["tests/test_fib.py", "tests/test_fibquat.py"],
     "quat._product": PRODUCT_TESTS,
@@ -96,7 +99,6 @@ TESTS = {
     "quat._layout": PACKED_TESTS,
     "quat._constants": ["tests/test_integer_form.py", "-k", "constants or memo"],
     "quat._reorder_parity": PRODUCT_TESTS,
-    "quat._integer_form": ELEMENT_TESTS,
     "quat._Element._reduced": ELEMENT_TESTS,
     "quat._Element._combine": ELEMENT_TESTS,
     "quat._Element._times": ELEMENT_TESTS,

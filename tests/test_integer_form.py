@@ -271,9 +271,11 @@ def test_every_qsqrt5_operation_keeps_the_integer_form_and_matches_fraction_pair
     assert_qsqrt5_holds(x + r, pair_add(u, rational))
     assert_qsqrt5_holds(r + x, pair_add(u, rational))
     assert_qsqrt5_holds(x - y, pair_sub(u, v))
+    assert_qsqrt5_holds(x - r, pair_sub(u, rational))
     assert_qsqrt5_holds(r - x, pair_sub(rational, u))
     assert_qsqrt5_holds(-x, pair_sub((Fraction(0), Fraction(0)), u))
     assert_qsqrt5_holds(x * y, pair_mul(u, v))
+    assert_qsqrt5_holds(x * r, pair_mul(u, rational))
     assert_qsqrt5_holds(r * x, pair_mul(u, rational))
     assert_qsqrt5_holds(x.conjugate(), (u[0], -u[1]))
     assert_qsqrt5_holds(abs(x), u if pair_sign(u) >= 0 else pair_sub((0, 0), u))

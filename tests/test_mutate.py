@@ -29,6 +29,20 @@ def test_identical_lines_give_their_mutants_distinct_keys(tmp_path):
         assert list(record) == [("demo.twice", "k = h + 1", occurrence, "k = h - 1")]
 
 
+def test_every_tests_key_names_a_function_with_mutants():
+    """A ``TESTS`` key left behind by a moved or renamed function would
+    otherwise show only when someone runs that target."""
+    unresolved = []
+    for target in mutate.TESTS:
+        try:
+            _, _, found = mutate.mutants(target)
+        except (StopIteration, FileNotFoundError):
+            found = []
+        if not found:
+            unresolved.append(target)
+    assert unresolved == []
+
+
 def test_every_survivor_record_names_a_generated_mutant():
     assert mutate.stale_records() == []
 
