@@ -6,14 +6,16 @@ optional leading minus (no decimals), each integer of at most
 ``MAX_LITERAL_DIGITS`` digits.  Exit codes: 0 success, 1 usage error,
 2 domain error (in particular a vanishing discriminant, a literal over the
 digit cap, a ``fib --n`` over ``MAX_FIB_INDEX`` or a ``clifford-table
---squares`` over ``MAX_TABLE_GENERATORS`` entries).  JSON output is
-byte-stable for a fixed command line.
+--squares`` over ``MAX_TABLE_GENERATORS`` entries).  A reader that closes
+stdout early, as ``head`` does, ends the command with exit 1 and nothing on
+stderr.  JSON output is byte-stable for a fixed command line.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -46,8 +48,8 @@ from .quat import AlgebraParams, Quaternion
 MAX_FIB_INDEX = 1_000_000
 
 #: Most ``clifford-table --squares`` entries.  The table has 4**n entries:
-#: at 8 generators, 65,536 products take 1.3-1.7 s of CPU time with 100-digit
-#: squares (CPython 3.11.7, 2-vCPU VM).
+#: at 8 generators with 100-digit squares, the 65,536 products take 1.0 s of
+#: CPU time with ``--json`` and 1.9 s as text (CPython 3.11.7, 2-vCPU VM).
 MAX_TABLE_GENERATORS = 8
 
 
@@ -470,4 +472,12 @@ def run(argv: list[str]) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    return run(sys.argv[1:] if argv is None else argv)
+    try:
+        code = run(sys.argv[1:] if argv is None else argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that the flush at
+        # exit does not raise again (the recipe in the docs of ``signal``)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code

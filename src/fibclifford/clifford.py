@@ -36,7 +36,7 @@ from .fibquat import (
     _growth_integers,
     _seeded_growth,
 )
-from .quat import AlgebraParams, _Element, _reorder_parity, is_division_algebra
+from .quat import AlgebraParams, _constants, _Element, _reorder_parity, is_division_algebra
 
 MAX_GENERATORS = 16
 
@@ -105,19 +105,25 @@ def blade_product(
 
     The sign counts the transpositions needed to sort the concatenated
     generator lists; each generator occurring in both blades contracts to
-    its square.  The result mask is the symmetric difference.
+    its square n_k/d_k, read as the integer pair of ``quat._constants``, so
+    the coefficient is +-prod n_k / prod d_k, brought to lowest terms by one
+    gcd.  The result mask is the symmetric difference.
     """
     dim = form.dim
     if not (0 <= mask_a < dim and 0 <= mask_b < dim):
         bad = mask_b if 0 <= mask_a < dim else mask_a
         raise ValueError(f"blade mask {bad} out of range for rank {form.rank}")
-    coeff = Fraction(-1 if (_reorder_parity(mask_a) & mask_b).bit_count() & 1 else 1)
+    parts = _constants(form)[0]
+    num = -1 if (_reorder_parity(mask_a) & mask_b).bit_count() & 1 else 1
+    den = 1
     common = mask_a & mask_b
     while common:
         low = common & -common
-        coeff *= form[low.bit_length() - 1]
+        n, d = parts[low.bit_length() - 1]
+        num *= n
+        den *= d
         common ^= low
-    return coeff, mask_a ^ mask_b
+    return Fraction(num, den), mask_a ^ mask_b
 
 
 @dataclass(frozen=True, slots=True, init=False)

@@ -65,13 +65,13 @@ def lucas(n: int) -> int:
 
 
 def _window(n: int, p: Rat | int, q: Rat | int) -> tuple[Rat | int, ...]:
-    """(h(n), ..., h(n+4)) seeded by h(0) = p, h(1) = q, for any exact seeds:
+    """(h(n), ..., h(n+3)) seeded by h(0) = p, h(1) = q, for any exact seeds:
     h(n) = p*f(n-1) + q*f(n) with f(-1) = 1, from one doubling pass.  The one
-    route to seeded terms, Horadam and Fibonacci quaternions and basis norms."""
+    route to seeded terms and to Horadam and Fibonacci quaternions."""
     a, b = fib_pair(n)
     h0, h1 = p * (b - a) + q * a, p * a + q * b
     h2 = h0 + h1
-    return h0, h1, h2, h1 + h2, h1 + 2 * h2
+    return h0, h1, h2, h1 + h2
 
 
 def horadam(n: int, seeds: HoradamParams) -> int:

@@ -40,7 +40,9 @@ The other quantities are read off the same integers: E and the seeded
 discriminant E' = (p + q*alpha)^2 * E / 5 divide the growth integers and
 the certificate's limit element by 10*d1*d2 and 200*d1*d2, and the basis
 norms n(F(n)), n(F(n+1)) of the coordinate space divide the direct check's
-integer d1*d2*n(.) by d1*d2.  ``classify`` evaluates the growth integers
+integer d1*d2*n(.) by d1*d2.  That integer is written once, in
+:func:`_norms`, which the certificates call at the seeds (p, q) and the
+basis norms at (f(n), f(n+1)).  ``classify`` evaluates the growth integers
 once and hands them to both certificates, evaluates the seeded pair
 (:func:`_seeded_growth`) once for E' and the seeded certificate, and reads
 its form at n' off the two integers d1*d2*n(.) that the plain certificate
@@ -59,9 +61,11 @@ terms by one gcd, and the certificates and growth profiles by
 
 Horadam quaternions H(n; p, q) carry coefficients (h(n), ..., h(n+3)) of the
 seeded sequence h(0) = p, h(1) = q, read off ``fib._window`` like every
-seeded window here.  For n >= 0 it is p*F(n-1) + q*F(n), F(-1) = (1, 0, 1, 1);
-the coordinate space at basepoint n uses the basis {F(n), F(n+1)}, so a
-coordinate vector (x1, x2) at basepoint n is H(n+1; x1, x2).
+seeded quaternion here; the norms' integers take their terms from two
+seeds in :func:`_norms` instead.  For n >= 0 it is p*F(n-1) + q*F(n),
+F(-1) = (1, 0, 1, 1); the coordinate space at basepoint n uses the basis
+{F(n), F(n+1)}, so a coordinate vector (x1, x2) at basepoint n is
+H(n+1; x1, x2).
 """
 
 from __future__ import annotations
@@ -71,7 +75,7 @@ from fractions import Fraction
 
 from .errors import BelowThresholdError, IndeterminateError
 from .exactnum import ALPHA, QSqrt5, Rat, _builder, _qsqrt5, _sign_z5, _to_rat
-from .fib import _check_seeds, _window
+from .fib import _check_seeds, _window, fib_pair
 from .quat import AlgebraParams, Quaternion, _norm_coefficients
 
 
@@ -174,22 +178,23 @@ class FibSpaceVector:
 
     def to_quaternion(self, params: AlgebraParams) -> Quaternion:
         """x1*F(n) + x2*F(n+1) = H(n+1; x1, x2); linear and injective in (x1, x2)."""
-        return Quaternion(params, *_window(self.n + 1, self.x1, self.x2)[:4])
+        return Quaternion.from_coeffs(params, _window(self.n + 1, self.x1, self.x2))
 
 
 def fibonacci_quaternion(n: int, params: AlgebraParams) -> Quaternion:
     """F(n) with coefficients (f(n), f(n+1), f(n+2), f(n+3))."""
-    return Quaternion(params, *_window(n, 0, 1)[:4])
+    return Quaternion._of(params, _window(n, 0, 1), 1)
 
 
 def horadam_quaternion(n: int, p: int, q: int, params: AlgebraParams) -> Quaternion:
     """H(n; p, q) with coefficients (h(n), ..., h(n+3)), h seeded by (p, q).
 
-    For every n >= 0 this is p*F(n-1) + q*F(n), from one ``fib._window``;
-    the test suite checks that identity, for small n and for n >= 1000.
+    For every n >= 0 this is p*F(n-1) + q*F(n), from one ``fib._window``
+    of the checked integer seeds, taken as the integer form over 1; the
+    test suite checks that identity, for small n and for n >= 1000.
     """
     _check_seeds(p, q)
-    return Quaternion(params, *_window(n, p, q)[:4])
+    return Quaternion._of(params, _window(n, p, q), 1)
 
 
 # (c, x, y, z) of :func:`_growth_integers`
@@ -292,6 +297,27 @@ def horadam_norm_closed_form(n: int, params: AlgebraParams, p: int, q: int) -> R
     return (2 * t.a + profile.oscillating.as_rat() * osc_coeff) / 5
 
 
+def _norms(c: tuple[int, int, int, int], h0: int, h1: int) -> tuple[int, int, int]:
+    """v(0), v(1), v(2) for the sequence h seeded by h(0) = h0, h(1) = h1:
+    v(m) = c0*h(m)^2 + c1*h(m+1)^2 + c2*h(m+2)^2 + c3*h(m+3)^2, which is
+    d1*d2*n(H(m; h0, h1)) for the coefficients c of :func:`_norm_coefficients`,
+    from the seeds and four additions.  The one place this integer is
+    written: :func:`_certify` reads it at the seeds (p, q), and
+    :func:`_basis_norms` at (f(n), f(n+1)), where v(0), v(1) are
+    d1*d2*n(F(n)), d1*d2*n(F(n+1))."""
+    c0, c1, c2, c3 = c
+    h2 = h0 + h1
+    h3 = h1 + h2
+    h4 = h2 + h3
+    h5 = h3 + h4
+    s0, s1, s2, s3, s4, s5 = h0 * h0, h1 * h1, h2 * h2, h3 * h3, h4 * h4, h5 * h5
+    return (
+        c0 * s0 + c1 * s1 + c2 * s2 + c3 * s3,
+        c0 * s1 + c1 * s2 + c2 * s3 + c3 * s4,
+        c0 * s2 + c1 * s3 + c2 * s4 + c3 * s5,
+    )
+
+
 def _certify(
     params: AlgebraParams, growth: _Growth, p: int, q: int, pair: tuple[int, int] | None = None
 ) -> tuple[ThresholdCertificate, tuple[int, int]]:
@@ -367,8 +393,8 @@ def _certify(
     (x^2 - 3x + 1)(x + 1) = x^3 - 2x^2 - 2x + 1, and so does v(m), a fixed
     combination of four shifts of h^2; hence
     v(m+3) = 2v(m+2) + 2v(m+1) - v(m).  v(0), v(1) and v(2) come from
-    (h(0), ..., h(5)): the seeds h(0) = p, h(1) = q and four additions, with
-    no doubling pass for index 0.  Each further index costs three additions.
+    :func:`_norms` at the seeds h(0) = p, h(1) = q: four additions, with no
+    doubling pass for index 0.  Each further index costs three additions.
     The walk keeps v(n') and v(n'+1) each time it moves n'.  Next to the
     zero of E the stop comes at n', about N/2, on the side where S+ < 0;
     on the other side N(S+) > S0^2 = 0 when b1 = 1, and nothing is walked.
@@ -387,7 +413,7 @@ def _certify(
         )
     # the conjugate gx - gy*sqrt5 is (2B)^2 * (2 d1 d2 S-), the B side
     bounded_sign = _sign_z5(gx, -gy)
-    (c0, c1, c2, c3), x, y, z = growth
+    c, x, y, z = growth
     # N(S+) > S0^2 on the scale 4*(d1*d2)^2: every norm has the limit sign (AM-GM)
     settled = x * x - 5 * y * y > 4 * z * z
     cross = p * p + p * q - q * q
@@ -420,16 +446,8 @@ def _certify(
                 powers.append((px * px + 5 * py * py, 2 * px * py))
         horizon = n + 1
     # v(m) = d1*d2*n(H(m)), signed so that the limit is positive, from the
-    # terms (h(0), ..., h(5)) of the sequence seeded by h(0) = p and h(1) = q,
-    # and then by v(m+3) = 2v(m+2) + 2v(m+1) - v(m)
-    h2 = p + q
-    h3 = q + h2
-    h4 = h2 + h3
-    h5 = h3 + h4
-    s0, s1, s2, s3, s4, s5 = p * p, q * q, h2 * h2, h3 * h3, h4 * h4, h5 * h5
-    v0 = c0 * s0 + c1 * s1 + c2 * s2 + c3 * s3
-    v1 = c0 * s1 + c1 * s2 + c2 * s3 + c3 * s4
-    v2 = c0 * s2 + c1 * s3 + c2 * s4 + c3 * s5
+    # seeds, and then by v(m+3) = 2v(m+2) + 2v(m+1) - v(m)
+    v0, v1, v2 = _norms(c, p, q)
     if limit_sign < 0:
         v0, v1, v2 = -v0, -v1, -v2
     n_prime, norms = 0, (v0, v1)
@@ -474,16 +492,13 @@ def horadam_invertibility_threshold(
 
 
 def _basis_norms(n: int, params: AlgebraParams) -> tuple[Fraction, Fraction]:
-    """(n(F(n)), n(F(n+1))) on integers: d1*d2*n(F(m)) is
-    c0*f(m)^2 + c1*f(m+1)^2 + c2*f(m+2)^2 + c3*f(m+3)^2, the quantity whose
-    sign :func:`_certify` checks, over the windows at m = n and m = n + 1
-    (the five terms of one :func:`fib._window`), divided once by d1*d2 = c0."""
-    c0, c1, c2, c3 = _norm_coefficients(params)
-    s0, s1, s2, s3, s4 = (f * f for f in _window(n, 0, 1))
-    return (
-        Fraction(c0 * s0 + c1 * s1 + c2 * s2 + c3 * s3, c0),
-        Fraction(c0 * s1 + c1 * s2 + c2 * s3 + c3 * s4, c0),
-    )
+    """(n(F(n)), n(F(n+1))) on integers: :func:`_norms` of the sequence
+    seeded by (f(n), f(n+1)), one doubling pass, gives d1*d2*n(F(n)) and
+    d1*d2*n(F(n+1)), the quantity whose sign :func:`_certify` checks, each
+    divided once by d1*d2 = c0."""
+    c = _norm_coefficients(params)
+    v0, v1, _ = _norms(c, *fib_pair(n))
+    return Fraction(v0, c[0]), Fraction(v1, c[0])
 
 
 def inner_product(

@@ -75,6 +75,7 @@ TESTS = {
     "fibquat._seeded_growth": SEEDED_TESTS,
     "fibquat._e_prime": SEEDED_TESTS,
     "fibquat._discriminant": SEEDED_TESTS,
+    "fibquat._norms": SEEDED_TESTS,
     "fibquat._basis_norms": SEEDED_TESTS,
     "fibquat._certify": CERTIFY_TESTS,
     "fibquat._growth_integers": CERTIFY_TESTS,

@@ -292,8 +292,11 @@ def blade_table_is_quaternion_table(form: clifford.DiagonalForm) -> bool:
     products of H(-a, -b) on all 16 pairs (hence everywhere, by bilinearity).
     ``blade_product`` is read through its module, so a test that patches
     ``clifford.blade_product`` reaches this check.  Both sides take their
-    signs from ``quat._reorder_parity``, so a fault there passes this check;
-    the explicit basis table of ``quaternion_mul_reference`` catches it."""
+    signs from ``quat._reorder_parity`` and read the squares as the integer
+    pairs of ``quat._constants``, so a fault in either passes this check;
+    the explicit basis table of ``quaternion_mul_reference`` catches the
+    first, and ``blade_product_rewrite``, which reads ``form.squares``, the
+    second."""
     images = Quaternion.basis(clifford.quaternion_isomorphism(form))
     for i in range(4):
         for j in range(4):

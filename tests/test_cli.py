@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -208,6 +210,28 @@ def test_clifford_table_degenerate_square(capsys):
     code, _, err = run_cli(capsys, "clifford-table", "--squares", "1,0")
     assert code == 2
     assert "DegenerateFormError" in err
+
+
+@pytest.mark.parametrize(
+    "mode,digest",
+    [
+        ([], "1de4d77954b6e0986599c5b930811e990bdd8163b05e4573a2818c8289a430d0"),
+        (["--json"], "b0d9131c9e61c94436799394d66ccdec975d2c95e6f551a40f094bfa4d724cff"),
+    ],
+    ids=["text", "json"],
+)
+def test_clifford_table_rank7_wide_squares_bytes_pinned(capsys, mode, digest):
+    """Rank 7 with 20-digit numerators and denominators, past the text
+    corpus's tables of one-digit squares at ranks up to 6: the SHA-256 of
+    stdout."""
+    rng = random.Random(29)
+    squares = ",".join(
+        f"{rng.choice(['', '-'])}{rng.randrange(10**19, 10**20)}/{rng.randrange(10**19, 10**20)}"
+        for _ in range(7)
+    )
+    code, out, err = run_cli(capsys, "clifford-table", "--squares", squares, *mode)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # -- usage errors ----------------------------------------------------------------------
@@ -552,3 +576,23 @@ def test_python_dash_m_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "21"
+
+
+def test_closed_stdout_exits_one_without_a_traceback():
+    """A reader that closes stdout after one line, as ``head -n 1`` does:
+    the rank-8 table meets a broken pipe, and the command ends with exit 1
+    and nothing on stderr."""
+    repo_root = Path(__file__).resolve().parent.parent
+    argv = [sys.executable, "-m", "fibclifford", "clifford-table", "--squares", "1,2,3,4,5,6,7,8"]
+    with subprocess.Popen(
+        argv,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        cwd=repo_root,
+        env={"PYTHONPATH": str(repo_root / "src"), "PATH": "/usr/bin:/bin"},
+    ) as child:
+        assert child.stdout.readline().startswith(b"*")
+        child.stdout.close()
+        err = child.stderr.read()
+        code = child.wait(timeout=60)
+    assert (code, err) == (1, b"")

@@ -92,6 +92,12 @@ def test_top_blade_squares():
     [
         (-1, -1, -1, -1),
         (Fraction(2), Fraction(-1, 2), Fraction(5, 3), Fraction(-7)),
+        (
+            Fraction(-42175768170419212686, 49421234342225077829),
+            Fraction(-97100878091797292562, 82420703706658873041),
+            Fraction(-80480886801968493729, 51048959671046891887),
+            Fraction(27254371561521313431, 31850272587231465911),
+        ),
     ],
 )
 def test_blade_products_match_rewriting_oracle(squares):

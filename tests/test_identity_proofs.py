@@ -337,26 +337,25 @@ def test_perturbed_seeded_growth_fails_the_reference_check(monkeypatch, old, new
 
 
 @pytest.mark.parametrize(
-    "module,name,old,new",
+    "name,old,new",
     [
-        (fibquat, "_basis_norms", "_window(n, 0, 1)", "_window(n + 1, 0, 1)"),
-        (fib_module, "_window", "h1 + 2 * h2", "h1 + 3 * h2"),
+        ("_basis_norms", "fib_pair(n)", "fib_pair(n + 1)"),
+        ("_norms", "h4 = h2 + h3", "h4 = h2 + 2 * h3"),
     ],
     ids=["both-windows", "last-entry"],
 )
-def test_shifted_form_window_fails_the_reference_check(monkeypatch, module, name, old, new):
-    _mutate(monkeypatch, module, name, old, new)
+def test_shifted_form_window_fails_the_reference_check(monkeypatch, name, old, new):
+    _mutate(monkeypatch, fibquat, name, old, new)
     with pytest.raises(AssertionError):
         assert_form_matches_reference(5, quat.AlgebraParams(Fraction(2, 3), -7))
 
 
-def test_shifted_doubling_pass_fails_the_form_and_horadam_references(monkeypatch):
-    """Every seeded window comes from ``_window``; the oracles count theirs
-    with the naive recurrences, so shifting its doubling pass moves only the
-    package's side of each comparison."""
+def test_shifted_doubling_pass_fails_the_horadam_reference(monkeypatch):
+    """Every seeded quaternion comes from ``_window``; the oracle counts its
+    terms with the naive recurrence, so shifting the doubling pass moves
+    only the package's side of the comparison.  The form reads no window:
+    the ``both-windows`` case above shifts its own doubling pass."""
     _mutate(monkeypatch, fib_module, "_window", "fib_pair(n)", "fib_pair(n + 1)")
-    with pytest.raises(AssertionError):
-        assert_form_matches_reference(5, quat.AlgebraParams(Fraction(2, 3), -7))
     x = fibquat.horadam_quaternion(5, 3, -7, quat.AlgebraParams(-2, -3))
     assert x.coeffs != tuple(horadam_naive(5 + j, 3, -7) for j in range(4))
 
@@ -389,15 +388,26 @@ def test_binet_reading_the_rational_part_fails_its_tests_and_selftest(monkeypatc
 
 @pytest.mark.parametrize(
     "old,new",
-    [("c3 * s3, c0)", "c2 * s3, c0)"), ("c3 * s4, c0)", "2 * c3 * s4, c0)")],
+    [("c3 * s3,", "c2 * s3,"), ("c3 * s4,", "2 * c3 * s4,")],
     ids=["first-entry", "second-entry"],
 )
 def test_perturbed_basis_norm_fails_the_polarization_selftest(monkeypatch, old, new):
     """Any symmetric bilinear form polarizes its own quadratic form, so the
     group also compares the form with the basis norms taken as quaternion
     norms."""
-    _mutate(monkeypatch, fibquat, "_basis_norms", old, new)
+    _mutate(monkeypatch, fibquat, "_norms", old, new)
     assert not _selftest_group_passes("polarization")
+
+
+def test_perturbed_seeded_norm_fails_the_walk_and_form_references(monkeypatch):
+    """``_norms`` is the one route to v(m) = d1*d2*n(H(m)): the certificates
+    walk it from the seeds and the basis norms read it at (f(n), f(n+1)), so
+    one fault in it fails the reference checks of both callers."""
+    _mutate(monkeypatch, fibquat, "_norms", "c0 * s0 + c1 * s1", "c0 * s0 + 2 * c1 * s1")
+    with pytest.raises(AssertionError):
+        assert_certificates_match_the_full_walk()
+    with pytest.raises(AssertionError):
+        assert_form_matches_reference(5, quat.AlgebraParams(Fraction(2, 3), -7))
 
 
 def test_closed_form_without_the_conjugate_fails_the_closed_form_tests(monkeypatch):
