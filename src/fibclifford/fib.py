@@ -64,11 +64,14 @@ def lucas(n: int) -> int:
     return 2 * b - a
 
 
-def _window(n: int, p: Rat | int, q: Rat | int) -> tuple[Rat | int, ...]:
+def _window(
+    n: int, p: Rat | int, q: Rat | int, pair: tuple[int, int] | None = None
+) -> tuple[Rat | int, ...]:
     """(h(n), ..., h(n+3)) seeded by h(0) = p, h(1) = q, for any exact seeds:
-    h(n) = p*f(n-1) + q*f(n) with f(-1) = 1, from one doubling pass.  The one
-    route to seeded terms and to Horadam and Fibonacci quaternions."""
-    a, b = fib_pair(n)
+    h(n) = p*f(n-1) + q*f(n) with f(-1) = 1, from one doubling pass, or from
+    ``pair`` = (f(n), f(n+1)) when the caller has it.  The one route to
+    seeded terms and to Horadam and Fibonacci quaternions."""
+    a, b = pair or fib_pair(n)
     h0, h1 = p * (b - a) + q * a, p * a + q * b
     h2 = h0 + h1
     return h0, h1, h2, h1 + h2

@@ -22,19 +22,24 @@ compares two elements of Z[sqrt 5]; one step multiplies the growing side
 by 3 + sqrt 5 and the bounded side by 2 (that is, by
 alpha^2 = (3 + sqrt 5)/2), and the sign of x + y*sqrt 5 comes from
 comparing x^2 with 5*y^2.  That comparison is monotone in the step count,
-so the horizon is found by an unbounded search over the squares
-(3 + sqrt 5)^(2^k), in O(log N) products.  Below the horizon the signs of
-v(m) = d1*d2*n(H(m; p, q)), an integer of the same sign as the norm, are
-settled by two proofs on the norm's shape, a cosh (or sinh) in m plus a
-bounded alternating term (see :func:`_certify`).  If N(S+) > S0^2, AM-GM
-puts every norm on the side of the limit, so n' = 0 and nothing is walked.
-Otherwise v is walked by v(m+3) = 2v(m+2) + 2v(m+1) - v(m), three values
-from the seeds and the next four terms and then three additions per index,
-until v(m) > 0, v(m+1) > 0 and v(m+2) >= v(m), which proves every later
-index has the limit sign, or at most to the horizon.  E is never zero for
-rational beta_i (see :func:`_certify`).  The closed forms stay public as
-the paper's identities; the test suite checks them against the direct
-norms.
+so the horizon lies in a bracket read off the bit lengths of the two sides:
+one doubling pass reaches the bracket's last failing index, and a few
+steps pass it, at most seven while the sides' ratio has under 2*10^6
+bits; the walk below reuses that doubling pass.  Below the horizon the
+signs of v(m) = d1*d2*n(H(m; p, q)), an integer of the same sign as the
+norm, are settled by two proofs on the norm's shape, a cosh (or sinh) in
+m plus a bounded alternating term (see :func:`_certify`).  If
+N(S+) > S0^2, AM-GM puts every norm on the side of the limit, so n' = 0
+and nothing is walked.  Otherwise v is walked by
+v(m+3) = 2v(m+2) + 2v(m+1) - v(m), three values from two seeds and the
+next four terms and then three additions per index, until v(m) > 0,
+v(m+1) > 0 and v(m+2) >= v(m), which proves every later index has the
+limit sign, or at most to the horizon.  The walk starts at
+s = (N - 1) // 2, where the sign crosses next to the zero of E, when v(s)
+or v(s + 1) has the wrong sign, and at index 0 otherwise.  E is never
+zero for rational beta_i (see :func:`_certify`).  The closed forms stay
+public as the paper's identities; the test suite checks them against the
+direct norms.
 
 The other quantities are read off the same integers: E and the seeded
 discriminant E' = (p + q*alpha)^2 * E / 5 divide the growth integers and
@@ -75,7 +80,7 @@ from fractions import Fraction
 
 from .errors import BelowThresholdError, IndeterminateError
 from .exactnum import ALPHA, QSqrt5, Rat, _builder, _qsqrt5, _sign_z5, _to_rat
-from .fib import _check_seeds, _window, fib_pair
+from .fib import _check_seeds, _pair, _window, fib_pair
 from .quat import AlgebraParams, Quaternion, _norm_coefficients
 
 
@@ -110,12 +115,15 @@ class ThresholdCertificate:
     """Certified minimal index from which norm signs stay equal to limit_sign.
 
     ``horizon`` is the least index satisfying the domination inequality that
-    guarantees no sign change past it.  Below it the signs are proved, not
-    all evaluated: n_prime = 0 with no index evaluated when N(S+) > S0^2
-    (AM-GM), and otherwise the integer d1*d2*n(.), with denominators
-    cleared, is walked by its own three-term integer recurrence from index 0
-    until the stop rule proves that every later index has the limit sign,
-    and at most to the horizon (see ``_certify``).  Minimality means
+    guarantees no sign change past it; it is found in a bracket read off
+    bit lengths, with a few exact sign tests.  Below it the signs are
+    proved, not all evaluated: n_prime = 0 with no index evaluated when
+    N(S+) > S0^2 (AM-GM), and otherwise the integer d1*d2*n(.), with
+    denominators cleared, is walked by its own three-term integer recurrence
+    from about half the horizon when a wrong sign is seen there, and from
+    index 0 otherwise, until the stop rule proves that every later index
+    has the limit sign, and at most to the horizon (see ``_certify``).
+    Minimality means
     n_prime = 0 or the sign at n_prime - 1 differs (possibly zero).
     """
 
@@ -318,6 +326,21 @@ def _norms(c: tuple[int, int, int, int], h0: int, h1: int) -> tuple[int, int, in
     )
 
 
+def _log2_bounds(x: int, y: int) -> tuple[int, int]:
+    """(lo, hi) with 2^lo <= |x + y*sqrt 5| < 2^hi for integers x, y, not
+    both zero, from bit lengths.  With M = max(|x|, |y|) of L bits,
+    2^(L-1) <= M < 2^L.  If x and y are both negative or both nonnegative,
+    M <= |x + y*sqrt 5| <= (1 + sqrt 5)*M < 2^(L+2).  Otherwise
+    |x + y*sqrt 5| = |x^2 - 5y^2| / (|x| + |y|*sqrt 5), a nonzero integer of
+    K bits over a number in [M, 2^(L+2)), so it lies in
+    [2^(K-L-3), 2^(K-L+1))."""
+    top = max(x.bit_length(), y.bit_length())
+    if (x < 0) == (y < 0):
+        return top - 1, top + 2
+    norm = (x * x - 5 * y * y).bit_length()
+    return norm - top - 3, norm - top + 1
+
+
 def _certify(
     params: AlgebraParams, growth: _Growth, p: int, q: int, pair: tuple[int, int] | None = None
 ) -> tuple[ThresholdCertificate, tuple[int, int]]:
@@ -343,22 +366,28 @@ def _certify(
     is exactly |S+| * alpha^(2N) > |S-| + 2|S0|.
 
     The ratio of the two sides grows by alpha^2 per step, so the inequality,
-    once true, stays true, and N is found by the unbounded search of Bentley
-    and Yao after the test at N = 0: the squares (3 + sqrt 5)^(2^k) gallop
-    over the failing indices 2^k - 1 until a jump of 2^k passes, and the
-    largest failing index is then lifted from the top bit down, the bounded
-    side moving by a shift.  That is O(log N) products of integers the size
-    of the growing side at N.
+    once true, stays true: index m passes exactly when
+    m * log2(alpha^2) > D = log2(B/G), for the bounded side B and the
+    growing side G at index 0.  After the test at N = 0, N is found in a
+    bracket on D.  :func:`_log2_bounds` bounds log2 B and log2 G by
+    integers from bit lengths, so that gap < D < top.  Every m with
+    m * 1388484/10^6 <= gap fails, as 1388484/10^6 > log2(alpha^2) =
+    1.38848383...  For the largest such n, the search jumps at once to
+    index 2k, k = n // 2: one doubling pass gives F(k), F(k+1), so
+    2*alpha^k = L(k) + F(k)*sqrt 5 with L(k) = 2F(k+1) - F(k), and two
+    squarings give its fourth power 16*alpha^(4k); the test at 2k, times
+    16, compares G*16*alpha^(4k) with 16B.  From there each step multiplies
+    the growing side by 3 + sqrt 5 and shifts the bounded side by one bit,
+    and the indices after n are tested until one passes.  The bounds lose
+    under 4 bits on each side, so gap > D - 8, and those tests number at
+    most 8/log2(alpha^2) + 2 plus D times 9*10^-8: at most seven while
+    D < 2*10^6, so the sign tests per certificate do not grow with its
+    size.
 
-    N is at most ``bits``: the bit lengths of the largest coordinates of the
-    bounded side B and of the growing side G at index 0, plus 4.  G times
-    its conjugate is a nonzero integer, so |G| >= 1/|conj G|, and B/G is
-    below |B| * |conj G| < 2^bits, since x + y*sqrt 5 is below 2^(L+2) when
-    |x| and |y| have at most L bits.  Each index multiplies G/B by
-    alpha^2 > 2, so index ``bits`` passes.  Hence every failing index is
-    below ``bits`` and the jump 2^k never exceeds it; a gallop past
-    k = bits.bit_length() can only come from a faulty sign test, and raises
-    instead of running on.
+    N is at most ``top``: with G >= 2^lo(G) and B < 2^hi(B), index
+    m = top = hi(B) - lo(G) has G*alpha^(2m) >= 2^(lo(G) + m) > B, since
+    alpha^2 > 2; top >= 1 once index 0 fails.  A step past ``top`` can only
+    come from a faulty sign test, and raises instead of running on.
 
     Below N the signs of v(m) = L*d1*d2*n(H(m)), L the limit sign, follow
     from the norm's shape.  With beta^2 = alpha^-2 the closed form reads
@@ -387,17 +416,29 @@ def _certify(
     index m with v(m) > 0, v(m+1) > 0 and v(m+2) >= v(m) has every index
     from m on of the limit sign.
 
-    The walk takes v(m) from index 0 until that rule holds, and at most to
-    N, where the domination inequality takes over.  Each h(m)^2 lies in
+    The walk takes v(m) until that rule holds, and at most to N, where the
+    domination inequality takes over.  It starts at s = (N - 1) // 2 when
+    v(s) <= 0 or v(s+1) <= 0: a wrong sign there puts n' above s, so no
+    index below s can move n', and the walk from s sees every later index
+    up to the stop rule.  Otherwise it starts at index 0.  s is where the
+    sign crosses next to the zero of E: G = 16*d1*d2*P and
+    B = 16*d1*d2*(|Q| + |R|), and index N - 1 fails, so
+    P*alpha^(4s) <= |Q| + |R|; when R = 0 (S0 = 0, as at b1 = 1) and Q < 0,
+    5*v(s)/(d1*d2) = alpha^(-2s) * (P*alpha^(4s) - |Q|) <= 0, and the
+    witness is found.  Each h(m)^2 lies in
     the span of alpha^(2m), beta^(2m) and (-1)^m, powers of the roots of
     (x^2 - 3x + 1)(x + 1) = x^3 - 2x^2 - 2x + 1, and so does v(m), a fixed
     combination of four shifts of h^2; hence
     v(m+3) = 2v(m+2) + 2v(m+1) - v(m).  v(0), v(1) and v(2) come from
     :func:`_norms` at the seeds h(0) = p, h(1) = q: four additions, with no
-    doubling pass for index 0.  Each further index costs three additions.
-    The walk keeps v(n') and v(n'+1) each time it moves n'.  Next to the
-    zero of E the stop comes at n', about N/2, on the side where S+ < 0;
-    on the other side N(S+) > S0^2 = 0 when b1 = 1, and nothing is walked.
+    doubling pass for index 0; v(s), v(s+1) and v(s+2) from :func:`_norms`
+    at h(s), h(s+1), which ``fib._window`` reads off F(s), F(s+1): the
+    search's F(k), F(k+1) stepped up by s - k additions, as 2k <= n < N
+    gives k <= s, with no second doubling pass.  Each further index costs
+    three additions.  The walk keeps v(n') and v(n'+1) each time it moves n'.
+    Next to the zero of E the walk runs from s to the stop at n', about
+    N/2, on the side where S+ < 0; on the other side N(S+) > S0^2 = 0 when
+    b1 = 1, and nothing is walked.
 
     The limit sign is sign(A^2 S+).  S+ = u + v*alpha with rational u, v
     vanishes only if u = v = 0, which forces b2^2 + 7*b2 + 1 = 0, a
@@ -426,34 +467,49 @@ def _certify(
     )
     horizon = 0
     if _sign_z5(gx - bx, gy - by) <= 0:
-        # N <= bits (see the docstring), so no jump 2^k with k > top is ever needed
-        bits = max(bx.bit_length(), by.bit_length()) + max(gx.bit_length(), gy.bit_length()) + 4
-        top = bits.bit_length()
-        # n is the largest index known to fail, (gx, gy) the growing side at n,
-        # and each step tries the index m = n + 2^k
-        n, k, powers = 0, 0, [(3, 1)]  # powers[k] = (3 + sqrt5)^(2^k)
-        while k >= 0:
-            px, py = powers[k]
-            x, y, m = gx * px + 5 * gy * py, gx * py + gy * px, n + (1 << k)
-            if _sign_z5(x - (bx << m), y - (by << m)) > 0:
-                k -= 1  # m passes: halve the jump
-            elif k + 1 < len(powers):
-                n, gx, gy, k = m, x, y, k - 1  # lifting: keep m, halve the jump
-            else:
-                n, gx, gy, k = m, x, y, k + 1  # galloping: keep m, double the jump
-                if k > top:
-                    raise AssertionError(f"horizon search passed its bound of {bits} indices")
-                powers.append((px * px + 5 * py * py, 2 * px * py))
-        horizon = n + 1
-    # v(m) = d1*d2*n(H(m)), signed so that the limit is positive, from the
+        # gap < log2 B - log2 G < top: every m with m*log2(alpha^2) <= gap
+        # fails, as 1388484/10^6 > log2(alpha^2) = 1.38848383..., and m = top
+        # passes, as alpha^2 > 2 (see the docstring)
+        (b_lo, b_hi), (g_lo, g_hi) = _log2_bounds(bx, by), _log2_bounds(gx, gy)
+        gap, top = b_lo - g_hi, b_hi - g_lo
+        # n, the largest index the bound shows to fail (index 0 fails by the
+        # test above); the search jumps to 2k, k = n // 2
+        n = max(0, gap * 10**6 // 1388484)
+        k = n // 2
+        f0, f1 = _pair(k)  # F(k), F(k+1), which the walk reuses
+        if k:
+            # 2 alpha^k = L(k) + F(k)*sqrt5, and its fourth power 16 alpha^(4k):
+            # the test at 2k, times 16, compares G*16 alpha^(4k) with 16B
+            x, y = 2 * f1 - f0, f0
+            x, y = x * x + 5 * y * y, 2 * x * y
+            x, y = x * x + 5 * y * y, 2 * x * y
+            gx, gy, bx, by = gx * x + 5 * gy * y, gx * y + gy * x, bx << 4, by << 4
+        horizon = 2 * k
+        while True:
+            horizon += 1
+            if horizon > top:
+                raise AssertionError(f"horizon search passed its bound of {top} indices")
+            gx, gy, bx, by = 3 * gx + 5 * gy, gx + 3 * gy, bx << 1, by << 1
+            if horizon > n and _sign_z5(gx - bx, gy - by) > 0:
+                break
+    # v(m) = d1*d2*n(H(m)), signed so that the limit is positive, from two
     # seeds, and then by v(m+3) = 2v(m+2) + 2v(m+1) - v(m)
-    v0, v1, v2 = _norms(c, p, q)
     if limit_sign < 0:
-        v0, v1, v2 = -v0, -v1, -v2
-    n_prime, norms = 0, (v0, v1)
+        c = (-c[0], -c[1], -c[2], -c[3])
     if settled:
-        return _certificate(0, horizon, limit_sign), norms
-    for m in range(horizon + 1):
+        return _certificate(0, horizon, limit_sign), _norms(c, p, q)[:2]
+    # s = (N - 1) // 2, next to where the sign crosses: a wrong sign at s or
+    # s + 1 puts n' past s, and the walk starts there; the search's F(k),
+    # F(k+1), k <= s, step up to F(s), F(s+1)
+    s = (horizon - 1) // 2
+    if s > 0:
+        while k < s:
+            f0, f1, k = f1, f0 + f1, k + 1
+        v0, v1, v2 = _norms(c, *_window(s, p, q, (f0, f1))[:2])
+    if s <= 0 or v0 > 0 and v1 > 0:
+        s, (v0, v1, v2) = 0, _norms(c, p, q)
+    n_prime, norms = 0, (v0, v1)
+    for m in range(s, horizon + 1):
         if v0 <= 0:
             n_prime, norms = m + 1, (v1, v2)
         elif v1 > 0 and v2 >= v0:

@@ -564,9 +564,12 @@ def zero_divisor_witness(params: AlgebraParams) -> Quaternion | None:
     Works on the integer form c of :func:`_norm_coefficients`.  Tries the
     closed forms 1 + e_k/t first, whenever -c_k/c0 (-b1, -b2, then -b1*b2)
     is the square of a rational t, then every integer vector of height <=
-    ``MAX_WITNESS_HEIGHT``.  Returns None for division algebras and for split
-    algebras whose norm form happens to be anisotropic over the rationals
-    within the search bound.
+    ``MAX_WITNESS_HEIGHT``.  Returns None for division algebras, and
+    otherwise when no witness of height <= ``MAX_WITNESS_HEIGHT`` exists.
+    That covers the algebras with no zero divisor over Q at all, such as
+    H(-2, -3), whose norm form is anisotropic over Q though it is split
+    over the reals: None does not tell those from algebras whose least
+    witness is higher.
     """
     if is_division_algebra(params):
         return None

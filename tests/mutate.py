@@ -78,6 +78,7 @@ TESTS = {
     "fibquat._norms": SEEDED_TESTS,
     "fibquat._basis_norms": SEEDED_TESTS,
     "fibquat._certify": CERTIFY_TESTS,
+    "fibquat._log2_bounds": CERTIFY_TESTS,
     "fibquat._growth_integers": CERTIFY_TESTS,
     "exactnum._sign_z5": [
         "tests/test_exactnum.py", "tests/test_fibquat.py", "tests/test_threshold_ladder.py",
@@ -144,27 +145,44 @@ SURVIVORS: dict[Key, str] = {
         "it only moves pairs from packed rows to the pair loop, and both give the same slots",
     ),
     **_recorded(
-        "fibquat._certify",
-        "bits = max(bx.bit_length(), by.bit_length()) + max(gx.bit_length(), gy.bit_length()) + 4",
-        [("+ 4", "- 4"), ("+ 4", "+ 5")],
-        "a correct search never reaches the bound: every failing index is below N <= bits, "
-        "and the gallop raises only at a failing index 2^k - 1 with k > bits.bit_length(), "
-        "at least 2*bits + 1, or for bits - 4 at least 2*(bits - 3) - 1 >= bits (bits >= 7; "
-        "7 for bits = 6, the least there is); only a faulty sign test gets there, and "
-        "test_sign_fault_stops_at_the_horizon_bound checks that the bound fires",
-    ),
-    **_recorded(
-        "fibquat._certify", "if k > top:", [(">", ">=")],
-        "a correct search never reaches the bound: every failing index is below N <= bits, "
-        "and with k >= top the gallop raises only at a failing index 2^top - 1 >= bits",
-    ),
-    **_recorded(
         "fibquat._certify", "if limit_sign < 0:", [("< 0", "<= 0"), ("< 0", "< 1")],
         "the limit sign is -1 or 1: the zero check above raises before it could be 0",
     ),
     **_recorded(
-        "fibquat._certify", "for m in range(horizon + 1):", [("+ 1", "+ 2")],
+        "fibquat._certify", "k = n // 2", [("2", "3")],
+        "a lower jump only adds steps up to n, which are not tested, and more additions "
+        "to step F(k), F(k+1) up to s; every sign test and every certificate is the same",
+    ),
+    **_recorded(
+        "fibquat._certify", "if s > 0:", [(">", ">=")],
+        "at s = 0 the witness reads the window at index 0, the seeds themselves, and the "
+        "walk starts at index 0 from the same three values either way",
+    ),
+    **_recorded(
+        "fibquat._certify", "for m in range(s, horizon + 1):", [("+ 1", "+ 2")],
         "the extra index is past the horizon, where v(m) has the limit sign, so n' stays",
+    ),
+    **_recorded(
+        "fibquat._log2_bounds", "if (x < 0) == (y < 0):",
+        [("x < 0", "x <= 0"), ("x < 0", "x < 1"), ("y < 0", "y <= 0"), ("y < 0", "y < 1")],
+        "the branch changes only when x or y is 0, and then both pairs of bounds hold: "
+        "x + y*sqrt 5 is |x| or |y|*sqrt 5, between M and 2^(L+2), and "
+        "|x^2 - 5y^2| / (|x| + |y|*sqrt 5) is that same value; only the bracket's width "
+        "changes, which moves no certificate",
+    ),
+    **_recorded(
+        "fibquat._log2_bounds", "return top - 1, top + 2", [("+ 2", "+ 3")],
+        "a looser upper bound: for the growing side it only lowers the bracket's jump, "
+        "which adds steps, and for the bounded side it only raises the a-priori bound "
+        "top, which a correct search never reaches; no certificate changes, and on the "
+        "pinned ladder the growing side has coordinates of opposite signs",
+    ),
+    **_recorded(
+        "fibquat._log2_bounds", "return norm - top - 3, norm - top + 1", [("- 3", "- 4")],
+        "a looser lower bound: for the bounded side it only lowers the bracket's jump, "
+        "which adds steps, and for the growing side it only raises the a-priori bound "
+        "top, which a correct search never reaches; no certificate changes, and on the "
+        "pinned ladder the bounded side has coordinates of one sign",
     ),
     **_recorded(
         "exactnum._sign_z5", "return sx if x * x > 5 * y * y else -sx", [(">", ">=")],

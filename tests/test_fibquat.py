@@ -314,10 +314,9 @@ def test_integer_certificate_matches_closed_form_reference(params, seeds):
     )
 
 
-# The horizon search tests N = 0, gallops over N = 2^k - 1 and lifts the largest
-# failing N bit by bit, so its edges are the horizons 0, 1, 2 and 2^k - 1, 2^k,
-# 2^k + 1.  Each row: (horizon, ladder k, rounded up, seeds), found by scanning
-# the ladder at k = 1..61 from both sides with small and 20-digit seeds.
+# Horizons across sizes and powers of 2.  Each row: (horizon, ladder k, rounded
+# up, seeds), found by scanning the ladder at k = 1..61 from both sides with
+# small and 20-digit seeds.
 HORIZON_EDGES = (
     (0, 1, False, (8, 13)),
     (1, 1, False, (0, 1)),
@@ -332,15 +331,30 @@ HORIZON_EDGES = (
     (128, 51, False, (3, -2)),
     (129, 54, True, (1, 0)),
 )
+# The horizon search tests N = 0, takes the largest index n that its
+# bit-length bracket shows to fail, jumps to index 2 * (n // 2) and tests the
+# indices after n, so its edges are N = n + 1, where the first test passes,
+# with n = 0, 1 and 2, and the most tests found: four with n = 0 and five
+# with n > 0.  Each row: (b1, b2, seeds, horizon), found by scanning random
+# algebras and the cases of walk_cases; n is in the comment.
+BRACKET_EDGES = (
+    (Fraction(91, 92), Fraction(11, 26), (-7, 9), 1),  # n = 0
+    (Fraction(-17, 26), Fraction(-1, 4), (0, 1), 2),  # n = 1
+    (Fraction(-39, 17), Fraction(-3, 22), (0, 1), 3),  # n = 2
+    (Fraction(-2), Fraction(-274, 1871), (-2, -3), 4),  # n = 0
+    (Fraction(1), Fraction(-2, 13), (-1, 1), 7),  # n = 2
+    (Fraction(1), Fraction(-725, 4969), (-2, 3), 13),  # n = 8
+)
 
 
 def assert_horizon_edges_match_reference() -> None:
-    for horizon, k, upper, seeds in HORIZON_EDGES:
-        params = ladder_params(k, upper)
+    cases = [(ladder_params(k, upper), seeds, horizon) for horizon, k, upper, seeds in HORIZON_EDGES]
+    cases += [(AlgebraParams(b1, b2), seeds, horizon) for b1, b2, seeds, horizon in BRACKET_EDGES]
+    for params, seeds, horizon in cases:
         cert = horadam_invertibility_threshold(params, *seeds)
-        assert cert.horizon == horizon, (k, upper, seeds)
+        assert cert.horizon == horizon, (params, seeds)
         reference = reference_certificate(params.beta1, params.beta2, *seeds)
-        assert (cert.n_prime, cert.horizon, cert.limit_sign) == reference, (k, upper, seeds)
+        assert (cert.n_prime, cert.horizon, cert.limit_sign) == reference, (params, seeds)
 
 
 def test_certificates_at_horizon_search_edges_match_reference():
@@ -393,12 +407,31 @@ def _exact_zero(rng: random.Random) -> tuple[AlgebraParams, tuple[int, int]] | N
     return AlgebraParams(b1, -(h0 * h0 + b1 * h1 * h1) / weight), seeds
 
 
+# (b1, b2, seeds) whose last index of the wrong sign lies below the walk's
+# start estimate s = (N - 1) // 2, so v(s) and v(s + 1) both have the limit
+# sign and the walk starts at index 0; found by scanning random algebras and
+# ladders next to E = 0 at other values of b1, where S0 != 0.  In the last
+# three, v(0) and v(1) have the limit sign too, and v(2) < v(0) keeps the
+# stop rule from firing at index 0
+BELOW_THE_ESTIMATE = (
+    (Fraction(1, 2), Fraction(-1, 5), (2, -1)),  # N = 7, n' = 3, s = 3
+    (Fraction(2, 3), Fraction(-1, 5), (2, -1)),  # N = 7, n' = 3, s = 3
+    (Fraction(6), Fraction(-1, 5), (-77, 33)),  # N = 5, n' = 2, s = 2
+    (Fraction(-22), Fraction(-1, 2), (-22, 18)),  # N = 3, n' = 1, s = 1
+    (Fraction(-34, 7), Fraction(8, 3), (-37, 20)),  # N = 3, n' = 1, s = 1
+    (Fraction(-13, 3), Fraction(7, 20), (5, -3)),  # N = 7, n' = 3, s = 3
+    (Fraction(-1, 4), Fraction(2), (22, -15)),  # N = 7, n' = 3, s = 3
+    (Fraction(5, 9), Fraction(-1, 7), (15, -23)),  # N = 7, n' = 3, s = 3
+)
+
+
 @cache
 def walk_cases() -> tuple[tuple[AlgebraParams, tuple[int, int]], ...]:
-    """3,401 (params, seeds): random algebras with 1- to 30-digit parts,
+    """3,409 (params, seeds): random algebras with 1- to 30-digit parts,
     ladders next to E = 0 at five values of b1 (S0 = 0 only at b1 = 1),
-    algebras with an exact zero norm, and HALF, where N(S+) = S0^2 exactly
-    and n' = 1.  Seeds are (0, 1), one digit or 20 digits."""
+    algebras with an exact zero norm, HALF, where N(S+) = S0^2 exactly
+    and n' = 1, and :data:`BELOW_THE_ESTIMATE`.  Seeds are (0, 1), one
+    digit or 20 digits."""
     rng = random.Random(27)
 
     def rational(digits: int) -> Fraction:
@@ -423,7 +456,8 @@ def walk_cases() -> tuple[tuple[AlgebraParams, tuple[int, int]], ...]:
                 cases += [(params, (0, 1)), (params, seeds()), (params, seeds()), (params, seeds())]
     while len(cases) < 3400:
         cases += filter(None, [_exact_zero(rng)])
-    return (*cases, (HALF, (0, 1)))
+    below = [(AlgebraParams(b1, b2), seeds) for b1, b2, seeds in BELOW_THE_ESTIMATE]
+    return (*cases, (HALF, (0, 1)), *below)
 
 
 def assert_certificates_match_the_full_walk() -> None:
@@ -448,16 +482,21 @@ def test_certificates_match_the_full_walk():
         assert (cert.n_prime, cert.horizon, cert.limit_sign) == reference, (params, seeds)
 
 
-# ladder k -> indices the walk visits, below and above the zero of E: n' + 1
-# below, where the stop rule fires at n', and none above, where N(S+) > S0^2
-# (S0 = 0 at beta1 = 1) settles n' = 0 before the walk
-WALKED_INDICES = {2: (3, 0), 25: (32, 0), 3999: (4784, 0)}
+# ladder k -> indices the walk visits, below and above the zero of E: two
+# below, where v(s) <= 0 at s = (N - 1) // 2 = n' - 1 and the stop rule fires
+# at n', and none above, where N(S+) > S0^2 (S0 = 0 at beta1 = 1) settles
+# n' = 0 before the walk
+WALKED_INDICES = {2: (2, 0), 25: (2, 0), 3999: (2, 0)}
 # (b1, b2, seeds, indices visited) where a stricter rule walks further:
-# S0^2 < N(S+) <= (5/4) S0^2; the stop at v(m+1) = 1; the stop at v(m+2) = v(m)
+# S0^2 < N(S+) <= (5/4) S0^2; the stop at v(m+1) = 1; the stop at v(m+2) = v(m);
+# the walk from s witnessed by v(s + 1) <= 0 alone (N = 9, n' = 6, s = 4) and
+# by v(s) <= 0 alone (N = 7, n' = 4, s = 3)
 WALK_EDGES = (
     (Fraction(-5, 2), Fraction(-4, 3), (0, 1), 0),
     (Fraction(-6), Fraction(1, 4), (1, -1), 1),
     (Fraction(-4, 3), Fraction(-1, 3), (1, -1), 1),
+    (Fraction(-3, 8), Fraction(-3), (7, -4), 3),
+    (Fraction(1), Fraction(-1, 5), (-6, 3), 2),
 )
 
 
@@ -491,10 +530,13 @@ def test_walk_visits_its_pinned_number_of_indices(monkeypatch):
     assert_walk_lengths_pinned(monkeypatch)
 
 
-# ladder k -> sign tests per certificate, on each side of E = 0: the limit and
-# bounded signs, the test at index 0, then one per gallop or lifting step (27
-# steps at the literal cap, horizon 9,566)
-SEARCH_SIGN_TESTS = {2: 6, 3999: 30}
+# ladder k -> sign tests per certificate, below and above the zero of E: the
+# limit and bounded signs, the test at index 0, then one per index tested
+# after the bracket's last failing index.  They do not grow with the size:
+# 3 or 4 tests after the bracket at k = 2 (horizon 3), at the literal cap
+# k = 3999 (horizon 9,566) and at 20,000 digits (horizon 47,849 below and
+# 47,847 above), which only the library takes
+SEARCH_SIGN_TESTS = {2: (6, 6), 25: (6, 6), 3999: (7, 7), 20000: (6, 7)}
 
 
 def sign_tests_per_threshold(monkeypatch, k: int) -> list[int]:
@@ -521,7 +563,7 @@ def sign_tests_per_threshold(monkeypatch, k: int) -> list[int]:
 
 def assert_search_steps_pinned(monkeypatch) -> None:
     for k, count in SEARCH_SIGN_TESTS.items():
-        assert sign_tests_per_threshold(monkeypatch, k) == [count, count], k
+        assert sign_tests_per_threshold(monkeypatch, k) == list(count), k
 
 
 def test_horizon_search_takes_its_pinned_number_of_steps(monkeypatch):

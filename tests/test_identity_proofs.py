@@ -472,9 +472,12 @@ def test_injected_fault_reaches_names_that_tests_imported(monkeypatch):
 
 
 def test_broken_norm_walk_fails_the_reference_check(monkeypatch):
+    """The walk starts next to the last wrong sign, so a faulty recurrence
+    moves no certificate of the edge cases; the two norms it hands back
+    differ from the full walk's."""
     _mutate(monkeypatch, fibquat, "_certify", "- v0", "+ v0")
     with pytest.raises(AssertionError):
-        assert_horizon_edges_match_reference()
+        assert_certificates_match_the_full_walk()
 
 
 @pytest.mark.parametrize(
@@ -513,10 +516,18 @@ def test_strict_stop_rule_fails_the_walk_length(monkeypatch, old, new):
 
 @pytest.mark.parametrize(
     "old,new",
-    [("k -= 1  # m passes", "k -= 2  # m passes"), ("horizon = n + 1", "horizon = n + 2")],
-    ids=["dropped-top-power", "shifted-horizon"],
+    [
+        ("f0, f1 = _pair(k)", "f0, f1 = _pair(max(k - 1, 0))"),
+        ("horizon += 1", "horizon += 2"),
+        ("gap * 10**6 // 1388484)", "gap * 10**6 // 1388484 + 1)"),
+    ],
+    ids=["dropped-top-power", "shifted-horizon", "bracket-one-high"],
 )
 def test_broken_horizon_search_fails_the_edge_check(monkeypatch, old, new):
+    """A jump whose power 16 alpha^(4k) lacks its top factor alpha^4, steps
+    that count two indices each, and a bracket whose last failing index is
+    one too high, so that an index that may pass goes untested: each
+    reports a wrong horizon on the edge cases."""
     _mutate(monkeypatch, fibquat, "_certify", old, new)
     with pytest.raises(AssertionError):
         assert_horizon_edges_match_reference()
@@ -525,18 +536,44 @@ def test_broken_horizon_search_fails_the_edge_check(monkeypatch, old, new):
 @pytest.mark.parametrize(
     "old,new",
     [
-        ("y, k - 1  # lifting", "y, k + 1  # lifting"),
-        ("k + 1 < len(powers)", "k + 2 < len(powers)"),
+        ("gap * 10**6 // 1388484)", "gap * 10**6 // 2776968)"),
+        ("gap, top = b_lo - g_hi,", "gap, top = b_lo - g_hi - 4,"),
     ],
     ids=["lifting-doubles", "late-lifting"],
 )
 def test_slow_horizon_search_fails_the_step_count(monkeypatch, old, new):
-    """Both faults keep every certificate and only lengthen the search, so the
-    pinned step count is what catches them."""
+    """A bracket whose last failing index is halved, and one four bits wider:
+    both keep every certificate and only add sign tests, so the pinned count
+    is what catches them."""
     _mutate(monkeypatch, fibquat, "_certify", old, new)
     assert_horizon_edges_match_reference()
     with pytest.raises(AssertionError):
         assert_search_steps_pinned(monkeypatch)
+
+
+def test_walk_from_an_unwitnessed_estimate_fails_the_walk_reference(monkeypatch):
+    """A walk that starts at s = (N - 1) // 2 although v(s) and v(s + 1) both
+    have the limit sign misses the wrong signs below s; the cases of
+    ``BELOW_THE_ESTIMATE`` have them."""
+    _mutate(monkeypatch, fibquat, "_certify", "s <= 0 or v0 > 0 and v1 > 0", "s <= 0")
+    with pytest.raises(AssertionError):
+        assert_certificates_match_the_full_walk()
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [("or v0 > 0 and v1 > 0", "or v0 > 0"), ("or v0 > 0 and v1 > 0", "or v1 > 0")],
+    ids=["witness-at-s-only", "witness-at-s-plus-1-only"],
+)
+def test_one_parity_witness_fails_the_walk_length(monkeypatch, old, new):
+    """A witness that reads only one of v(s), v(s + 1) keeps every
+    certificate, as the walk from index 0 is always sound, but walks from 0
+    where only the other parity has the wrong sign at s; the pinned walk
+    lengths catch it."""
+    _mutate(monkeypatch, fibquat, "_certify", old, new)
+    assert_certificates_match_the_full_walk()
+    with pytest.raises(AssertionError):
+        assert_walk_lengths_pinned(monkeypatch)
 
 
 def test_sign_fault_stops_at_the_horizon_bound():
